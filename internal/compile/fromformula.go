@@ -13,6 +13,18 @@
 //     and 5, for each of the four Kripke variants, yielding for every output
 //     value y a formula that holds exactly at the nodes outputting y.
 //
+// A compiled machine's messages are flat byte strings. The message on
+// out-port j holds one byte per entry of D_j (of D on the broadcast
+// variants K₊,₋ and K₋,₋), in ascending subformula order: '0', '1' or 'U',
+// the sender's value of that subformula. On the per-port variants K₊,₊ and
+// K₋,₊ the tag j comes first, in decimal, zero-padded to the width of Δ.
+// Every message on out-port j therefore has the same length, and δ reads
+// ϑ's value at an offset fixed per (j, ϑ) when the formula is compiled:
+// no parsing and no allocation on the receiving side. The machine's
+// message guard (machine.MessageGuard) accepts exactly the strings μ can
+// emit, so a payload that a fault plan corrupts out of this layout
+// reaches δ as m0.
+//
 // The correspondence of Table 3 — formula ↔ algorithm, modal depth ↔
 // running time — is exercised end-to-end by this package's tests.
 package compile
@@ -20,11 +32,12 @@ package compile
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"weakmodels/internal/kripke"
 	"weakmodels/internal/logic"
 	"weakmodels/internal/machine"
-	"weakmodels/internal/term"
 )
 
 // Tri is the three-valued truth domain {0, 1, U} of the Theorem 2 proof.
@@ -77,11 +90,33 @@ type compiled struct {
 	delta    int
 	variant  kripke.Variant
 	graded   bool
+	// broadcast is true on K₊,₋ and K₋,₋, whose messages carry no tag.
+	broadcast bool
 	// dsets[j] (1-based j; index 0 unused) lists subformula indices sent to
 	// port j: D_j for per-port variants. For broadcast variants dsets[1]
 	// holds D (all ports share it).
 	dsets [][]int
+	// tagWidth is the number of decimal digits of the tag j that opens
+	// every per-port message (the width of Δ); 0 on broadcast variants.
+	tagWidth int
+	// reads[i] is the (δ◇) read of subs[i] when it is a diamond.
+	reads []diamondRead
 }
+
+// diamondRead is the precomputed (δ◇) read of one diamond ⟨(i,j)⟩≥k ϑ: the
+// messages that carry ϑ's value are exactly those of length size that
+// start with tag, and the value sits at offset pos.
+type diamondRead struct {
+	in   int    // in-port i to read; kripke.Star counts over the whole inbox
+	k    int    // grade: how many messages must carry 1 (∗ in-ports only)
+	tag  string // the sender's out-port j, zero-padded; "" on broadcast
+	size int    // length of a message carrying ϑ: tag plus |D_j|
+	pos  int    // offset of ϑ's value byte
+}
+
+// triBytes holds the message byte of each truth value: triBytes[v] for
+// the Tri v.
+const triBytes = "01U"
 
 // fmState is the per-node state: one Tri per subformula. It renders
 // deterministically under %#v (needed by FormulaFromMachine round trips).
@@ -111,11 +146,12 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 		return subs[a].String() < subs[b].String()
 	})
 	c := &compiled{
-		subs:    subs,
-		index:   make(map[string]int, len(subs)),
-		delta:   delta,
-		variant: variant,
-		graded:  fragment.Graded,
+		subs:      subs,
+		index:     make(map[string]int, len(subs)),
+		delta:     delta,
+		variant:   variant,
+		graded:    fragment.Graded,
+		broadcast: variant == kripke.VariantPM || variant == kripke.VariantMM,
 	}
 	for i, s := range subs {
 		c.index[s.String()] = i
@@ -135,30 +171,23 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 		}
 	}
 	// Build the D sets.
-	broadcast := variant == kripke.VariantPM || variant == kripke.VariantMM
-	if broadcast {
+	if c.broadcast {
 		c.dsets = make([][]int, 2)
 	} else {
 		c.dsets = make([][]int, delta+1)
+		c.tagWidth = len(strconv.Itoa(delta))
 	}
 	seen := make(map[[2]int]bool)
-	for _, s := range subs {
+	for i, s := range subs {
 		d, ok := s.(logic.Diamond)
 		if !ok {
 			continue
 		}
-		child := c.index[d.F.String()]
-		if broadcast {
-			if !seen[[2]int{1, child}] {
-				seen[[2]int{1, child}] = true
-				c.dsets[1] = append(c.dsets[1], child)
-			}
-			continue
-		}
-		j := d.Idx.J
-		if j < 1 || j > delta {
+		j := c.slot(d)
+		if !c.broadcast && (j < 1 || j > delta) {
 			return nil, fmt.Errorf("compile: out-port %d outside [1,%d] in %v", j, delta, s)
 		}
+		child := c.children[i][0]
 		if !seen[[2]int{j, child}] {
 			seen[[2]int{j, child}] = true
 			c.dsets[j] = append(c.dsets[j], child)
@@ -167,7 +196,49 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 	for j := range c.dsets {
 		sort.Ints(c.dsets[j])
 	}
+	// Fix every diamond's read now that the D sets, and with them the
+	// message layout, are final.
+	c.reads = make([]diamondRead, len(subs))
+	for i, s := range subs {
+		d, ok := s.(logic.Diamond)
+		if !ok {
+			continue
+		}
+		j := c.slot(d)
+		var tag strings.Builder
+		c.writeTag(&tag, j)
+		c.reads[i] = diamondRead{
+			in:   d.Idx.I,
+			k:    d.K,
+			tag:  tag.String(),
+			size: c.tagWidth + len(c.dsets[j]),
+			pos:  c.tagWidth + sort.SearchInts(c.dsets[j], c.children[i][0]),
+		}
+	}
 	return c, nil
+}
+
+// slot returns the index into dsets of the messages a diamond reads: its
+// out-port j, or 1 on broadcast variants.
+func (c *compiled) slot(d logic.Diamond) int {
+	if c.broadcast {
+		return 1
+	}
+	return d.Idx.J
+}
+
+// writeTag writes out-port j as the prefix of its messages: tagWidth
+// decimal digits, zero-padded. Broadcast variants have no tag.
+func (c *compiled) writeTag(b *strings.Builder, j int) {
+	if c.broadcast {
+		return
+	}
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(j), 10)
+	for range c.tagWidth - len(digits) {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
 }
 
 // initVals evaluates all modal-depth-0 subformulas for a node of the given
@@ -230,46 +301,20 @@ func triOr(a, b Tri) Tri {
 	return TriFalse
 }
 
-// encodeRestriction builds the message of the proof: the restriction of the
-// assignment to the D set for port j, tagged with j for per-port variants
-// (tag −1 for broadcast). The format is t(tag, t(idx,val), ...), with
-// entries in ascending subformula index — canonical and injective.
-func (c *compiled) encodeRestriction(vals []Tri, j int) machine.Message {
-	slot := j
-	broadcast := c.variant == kripke.VariantPM || c.variant == kripke.VariantMM
-	tag := int64(j)
-	if broadcast {
-		slot = 1
-		tag = -1
+// send is μ: the values of the D set of out-port j (of D on broadcast
+// variants) in ascending subformula order, after the tag j on per-port
+// variants.
+func (c *compiled) send(vals []Tri, j int) machine.Message {
+	if c.broadcast {
+		j = 1
 	}
-	kids := make([]term.Term, 0, len(c.dsets[slot])+1)
-	kids = append(kids, term.Int(tag))
-	for _, idx := range c.dsets[slot] {
-		kids = append(kids, term.Tuple(term.Int(int64(idx)), term.Int(int64(vals[idx]))))
+	var b strings.Builder
+	b.Grow(c.tagWidth + len(c.dsets[j]))
+	c.writeTag(&b, j)
+	for _, idx := range c.dsets[j] {
+		b.WriteByte(triBytes[vals[idx]])
 	}
-	return machine.EncodeTerm(term.Tuple(kids...))
-}
-
-// decoded is one parsed incoming message.
-type decoded struct {
-	tag  int // sender's out-port; -1 for broadcast; -2 for m0
-	vals map[int]Tri
-}
-
-func decodeRestriction(m machine.Message) (decoded, error) {
-	if m == machine.NoMessage {
-		return decoded{tag: -2}, nil
-	}
-	t, err := term.Parse(m)
-	if err != nil {
-		return decoded{}, fmt.Errorf("compile: bad message: %w", err)
-	}
-	d := decoded{tag: int(t.At(0).IntVal()), vals: make(map[int]Tri, t.Len()-1)}
-	for i := 1; i < t.Len(); i++ {
-		pair := t.At(i)
-		d.vals[int(pair.At(0).IntVal())] = Tri(pair.At(1).IntVal())
-	}
-	return d, nil
+	return b.String()
 }
 
 // MachineFromFormula compiles ψ into a local algorithm per Theorem 2. The
@@ -321,14 +366,10 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 			return x.Out, x.Done
 		},
 		SendFunc: func(s machine.State, port int) machine.Message {
-			return c.encodeRestriction(s.(fmState).Vals, port)
+			return c.send(s.(fmState).Vals, port)
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
-			x := s.(fmState)
-			next, err := c.step(x.Vals, inbox)
-			if err != nil {
-				panic(err) // messages are self-produced; malformed ⇒ bug
-			}
+			next := c.step(s.(fmState).Vals, inbox)
 			out := fmState{Vals: next}
 			if next[c.root] != TriU {
 				out.Done = true
@@ -336,6 +377,7 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 			}
 			return out
 		},
+		ValidFunc: c.validMessage,
 	}
 	return m, c.variant, nil
 }
@@ -349,22 +391,14 @@ func outputOf(v Tri) machine.Output {
 
 // step implements the transition clauses (δ∧), (δ¬) and the four (δ◇)
 // variants.
-func (c *compiled) step(old []Tri, inbox []machine.Message) ([]Tri, error) {
-	msgs := make([]decoded, len(inbox))
-	for i, m := range inbox {
-		d, err := decodeRestriction(m)
-		if err != nil {
-			return nil, err
-		}
-		msgs[i] = d
-	}
+func (c *compiled) step(old []Tri, inbox []machine.Message) []Tri {
 	next := make([]Tri, len(old))
 	copy(next, old)
 	for i, s := range c.subs {
 		if old[i] != TriU {
 			continue // clause (a): settled values persist
 		}
-		switch x := s.(type) {
+		switch s.(type) {
 		case logic.Not:
 			next[i] = triNot(next[c.children[i][0]])
 		case logic.And:
@@ -372,58 +406,69 @@ func (c *compiled) step(old []Tri, inbox []machine.Message) ([]Tri, error) {
 		case logic.Or:
 			next[i] = triOr(next[c.children[i][0]], next[c.children[i][1]])
 		case logic.Diamond:
-			child := c.children[i][0]
-			if old[child] == TriU {
-				next[i] = TriU // gate: child not yet evaluated anywhere
-				continue
+			if old[c.children[i][0]] == TriU {
+				continue // gate: child not yet evaluated anywhere
 			}
-			next[i] = c.evalDiamond(x, child, msgs)
+			next[i] = c.reads[i].eval(inbox)
 		}
 	}
-	return next, nil
+	return next
 }
 
-// evalDiamond applies the variant-specific clause (δ◇).
-func (c *compiled) evalDiamond(d logic.Diamond, child int, msgs []decoded) Tri {
-	switch c.variant {
-	case kripke.VariantPP:
-		// ⟨(i,j)⟩ϑ: message at in-port i must carry (1, j).
-		i := d.Idx.I
-		if i < 1 || i > len(msgs) {
-			return TriFalse
-		}
-		m := msgs[i-1]
-		if m.tag == d.Idx.J && m.vals[child] == TriTrue {
-			return TriTrue
-		}
-		return TriFalse
-	case kripke.VariantMP:
-		// ⟨(∗,j)⟩≥k ϑ: count messages tagged j carrying 1.
-		count := 0
-		for _, m := range msgs {
-			if m.tag == d.Idx.J && m.vals[child] == TriTrue {
-				count++
-			}
-		}
-		return boolTri(count >= d.K)
-	case kripke.VariantPM:
-		// ⟨(i,∗)⟩ϑ: broadcast message at in-port i carries 1.
-		i := d.Idx.I
-		if i < 1 || i > len(msgs) {
-			return TriFalse
-		}
-		return boolTri(msgs[i-1].vals[child] == TriTrue)
-	case kripke.VariantMM:
-		count := 0
-		for _, m := range msgs {
-			if m.vals[child] == TriTrue {
-				count++
-			}
-		}
-		return boolTri(count >= d.K)
-	default:
-		panic("compile: unknown variant")
+// eval applies the variant's clause (δ◇) to an inbox: ⟨(i,·)⟩ϑ holds iff
+// the message at in-port i carries 1 for ϑ, and ⟨(∗,·)⟩≥k ϑ iff at least k
+// inbox messages do. m0, and on per-port variants a message sent through
+// another out-port, carries no value of ϑ.
+//
+//weakvet:noalloc
+func (r *diamondRead) eval(inbox []machine.Message) Tri {
+	if r.in != kripke.Star {
+		return boolTri(r.in <= len(inbox) && r.carriesTrue(inbox[r.in-1]))
 	}
+	count := 0
+	for _, m := range inbox {
+		if r.carriesTrue(m) {
+			count++
+		}
+	}
+	return boolTri(count >= r.k)
+}
+
+// carriesTrue reports whether m carries the value 1 for the diamond's
+// child.
+func (r *diamondRead) carriesTrue(m machine.Message) bool {
+	return len(m) == r.size && m[r.pos] == triBytes[TriTrue] && m[:len(r.tag)] == r.tag
+}
+
+// validMessage is the message guard: it accepts exactly the strings send
+// can emit, that is the tag of an out-port in [1,Δ] on per-port variants,
+// then one value byte per entry of that port's D set.
+func (c *compiled) validMessage(m machine.Message) bool {
+	j := 1
+	if !c.broadcast {
+		if len(m) < c.tagWidth {
+			return false
+		}
+		j = 0
+		for p := 0; p < c.tagWidth; p++ {
+			if m[p] < '0' || m[p] > '9' {
+				return false
+			}
+			j = 10*j + int(m[p]-'0')
+		}
+		if j < 1 || j > c.delta {
+			return false
+		}
+	}
+	if len(m) != c.tagWidth+len(c.dsets[j]) {
+		return false
+	}
+	for p := c.tagWidth; p < len(m); p++ {
+		if strings.IndexByte(triBytes, m[p]) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func boolTri(b bool) Tri {

@@ -96,30 +96,26 @@ func compileCSR(m *Model) *CSR {
 
 	// Valuation classes: dense ids by first occurrence over states
 	// 0..n-1, the same assignment order PropSig-keyed code produced.
-	// The key is the state's packed proposition membership.
+	// The key of state v is its packed proposition membership, the kw
+	// bytes keys[v*kw:(v+1)*kw], filled in the same single pass over each
+	// proposition's truth values that builds its bitset.
 	props := m.Props()
-	for _, q := range props {
+	kw := (len(props) + 7) / 8
+	keys := make([]byte, n*kw)
+	for qi, q := range props {
 		bits := make([]uint64, c.words)
-		val := m.props[q]
-		for v := 0; v < n; v++ {
-			if val[v] {
+		for v, holds := range m.props[q] {
+			if holds {
 				bits[v>>6] |= 1 << (uint(v) & 63)
+				keys[v*kw+qi>>3] |= 1 << (uint(qi) & 7)
 			}
 		}
 		c.propBits[q] = bits
 	}
 	c.valClass = make([]int32, n)
 	classOf := make(map[string]int32)
-	key := make([]byte, (len(props)+7)/8)
 	for v := 0; v < n; v++ {
-		for i := range key {
-			key[i] = 0
-		}
-		for qi, q := range props {
-			if m.props[q][v] {
-				key[qi>>3] |= 1 << (uint(qi) & 7)
-			}
-		}
+		key := keys[v*kw : (v+1)*kw]
 		id, ok := classOf[string(key)]
 		if !ok {
 			id = int32(len(classOf))

@@ -12,9 +12,12 @@ import (
 	"weakmodels/internal/term"
 )
 
-// Message is a single message. Messages are canonical term encodings
-// (see internal/term) so that multiset/set semantics and the fixed total
-// order <M of Theorem 8 are well defined. The empty string is m0.
+// Message is a single message: a byte string. Inboxes are canonicalised
+// by comparing messages in string order, which is all the multiset and
+// set receive modes need. Where a message needs structure, the convention
+// is a canonical term encoding (see internal/term); the simulations of
+// Theorem 8, for instance, decode terms to sort by the fixed total order
+// <M. The empty string is m0.
 type Message = string
 
 // NoMessage is m0, the "no message" symbol. Halted nodes send it forever.
