@@ -31,12 +31,12 @@
 // stream keeps stdout and the JSON object moves to stderr).
 //
 // Flight recorder (internal/replay): -checkpoint records the run's
-// decision stream and periodic state snapshots (cadence -checkpoint-every)
-// to a WRPLAY01 file; -replay reconstructs a recorded run byte-exactly
-// without re-drawing any randomness (-replay-from resumes the replay from
-// the latest snapshot at or before a step); -resume continues a possibly
-// truncated recording live from its last snapshot, given the original
-// flags. Replay and resume need the original -alg/-graph/-ports (the
+// decisions, one record per step, and periodic state snapshots (cadence
+// -checkpoint-every) to a WRPLAY02 file; -replay reconstructs a recorded
+// run byte-exactly without re-drawing any randomness (-replay-from
+// resumes the replay from the latest snapshot at or before a step);
+// -resume continues a possibly truncated recording live from its last
+// snapshot, given the original flags. Replay and resume need the original -alg/-graph/-ports (the
 // recording stores decisions, not the topology).
 package main
 
@@ -398,7 +398,7 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// loadRecording opens and decodes a WRPLAY01 flight recording. Load
+// loadRecording opens and decodes a WRPLAY02 flight recording. Load
 // tolerates a truncated tail (a killed recorder), so -resume works on
 // exactly the recordings that need it.
 func loadRecording(path string, m machine.Machine, p *port.Numbering) (*replay.Recording, error) {

@@ -317,6 +317,27 @@ func (c *compiled) send(vals []Tri, j int) machine.Message {
 	return b.String()
 }
 
+// class is the machine class matching the variant and the fragment, as
+// tabled at MachineFromFormula.
+func (c *compiled) class() machine.Class {
+	switch c.variant {
+	case kripke.VariantPP:
+		return machine.ClassVV
+	case kripke.VariantMP:
+		if c.graded {
+			return machine.ClassMV
+		}
+		return machine.ClassSV
+	case kripke.VariantPM:
+		return machine.ClassVB
+	default:
+		if c.graded {
+			return machine.ClassMB
+		}
+		return machine.ClassSB
+	}
+}
+
 // MachineFromFormula compiles ψ into a local algorithm per Theorem 2. The
 // machine's class matches the formula's fragment and variant:
 //
@@ -330,28 +351,9 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 	if err != nil {
 		return nil, 0, err
 	}
-	var class machine.Class
-	switch c.variant {
-	case kripke.VariantPP:
-		class = machine.ClassVV
-	case kripke.VariantMP:
-		if c.graded {
-			class = machine.ClassMV
-		} else {
-			class = machine.ClassSV
-		}
-	case kripke.VariantPM:
-		class = machine.ClassVB
-	case kripke.VariantMM:
-		if c.graded {
-			class = machine.ClassMB
-		} else {
-			class = machine.ClassSB
-		}
-	}
 	m := &machine.Func{
 		MachineName:  fmt.Sprintf("compiled[%s]", f.String()),
-		MachineClass: class,
+		MachineClass: c.class(),
 		MaxDeg:       delta,
 		InitFunc: func(deg int) machine.State {
 			s := fmState{Vals: c.initVals(deg)}

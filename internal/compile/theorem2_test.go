@@ -8,6 +8,7 @@ package compile
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,13 +135,19 @@ func drawFormula(rng *rand.Rand, model *kripke.Model, graded bool,
 // TestCompiledMachineSurvivesByzantine: a Byzantine plan rewrites payloads
 // in flight, so junk reaches the receivers. The compiled machine's guard
 // turns every payload μ could not have emitted into m0, and the run
-// completes with every node halted on a binary output, on each variant.
+// completes with every node halted on one of the machine's outputs, on
+// each variant and for a tuple of formulas.
 func TestCompiledMachineSurvivesByzantine(t *testing.T) {
 	g, err := graph.PreferentialAttachment(300, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := port.Random(g, rand.New(rand.NewSource(2)))
+	type subject struct {
+		m       machine.Machine
+		outputs []machine.Output
+	}
+	var subjects []subject
 	for _, src := range []string{
 		"<*,*>=2 q3",
 		"<*,2>=2 (q3 | <*,1> q4)",
@@ -151,20 +158,31 @@ func TestCompiledMachineSurvivesByzantine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Run(m, p, engine.Options{
+		subjects = append(subjects, subject{m, []machine.Output{"0", "1"}})
+	}
+	tuple, _, err := MachineFromFormulas(map[machine.Output]logic.Formula{
+		"two": logic.MustParse("<*,*>=2 q3"),
+		"one": logic.MustParse("<*,*> q4"),
+	}, g.MaxDegree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects = append(subjects, subject{tuple, []machine.Output{"one", "two", ""}})
+	for _, s := range subjects {
+		res, err := engine.Run(s.m, p, engine.Options{
 			Executor: engine.ExecutorAsync,
 			Schedule: schedule.RandomSubset(3, 0.5),
 			Fault:    fault.Byzantine(4, 0.3),
 		})
 		if err != nil {
-			t.Fatalf("%q: %v", src, err)
+			t.Fatalf("%s: %v", s.m.Name(), err)
 		}
 		if res.Corruptions == 0 {
-			t.Fatalf("%q: no corruptions under a p=0.3 byzantine plan", src)
+			t.Fatalf("%s: no corruptions under a p=0.3 byzantine plan", s.m.Name())
 		}
 		for v, out := range res.Output {
-			if out != "0" && out != "1" {
-				t.Fatalf("%q: node %d ended with output %q", src, v, out)
+			if !slices.Contains(s.outputs, out) {
+				t.Fatalf("%s: node %d ended with output %q", s.m.Name(), v, out)
 			}
 		}
 	}

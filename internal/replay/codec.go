@@ -1,37 +1,63 @@
 package replay
 
-// codec.go is the WRPLAY01 binary format: an 8-byte magic followed by
+// codec.go is the WRPLAY02 binary format: an 8-byte magic followed by
 // self-framing records — tag byte, uvarint payload length, payload — in
-// chronological order. The framing makes the stream kill-tolerant: Load
-// accepts a truncated tail (the process died mid-run) and returns the
-// intact prefix, which still carries every completed snapshot; only the
-// end record, written by Finish, marks a recording replayable end to end.
+// chronological order: one begin record, then one step record per executed
+// step with the snapshots taken after it, then the end record. The framing
+// makes the stream kill-tolerant: Load accepts a truncated tail (the
+// process died mid-run) and returns the intact prefix, which still carries
+// every completed snapshot; only the end record, written by Finish, marks
+// a recording replayable end to end.
+//
+// A step record holds every decision the adversary made at that step, in
+// the order the engine asks for them:
+//
+//	uvarint  step
+//	bool     ActivateAll; unless set, the activation mask
+//	bool     DeliverAll; unless set, uvarint link count, then one varint
+//	         delivery count per link
+//
+// and, on plan runs only,
+//
+//	         the crash mask; uvarint node count, then one byte per
+//	         recover kind; the resend mask
+//	varint   the plan's cumulative healed count after the step
+//	uvarint  fate count, then one byte per delivery fate in global (link,
+//	         queue-position) order, each corrupt fate followed by its
+//	         rewrite (uvarint length, bytes)
+//	bool     the Settled verdict, present only when the step's fixpoint
+//	         probe drew one
+//
+// A mask is a uvarint count, then ⌈count/8⌉ bytes, LSB first. Every count
+// must equal the size of the run's decision it fills: the decoder reads
+// straight into the engine's own decision buffers and allocates only the
+// rewrites it hands back.
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"weakmodels/internal/enc"
 	"weakmodels/internal/engine"
 	"weakmodels/internal/fault"
 	"weakmodels/internal/machine"
 	"weakmodels/internal/port"
+	"weakmodels/internal/schedule"
 )
 
 // replayMagic identifies the format and its version.
-const replayMagic = "WRPLAY01"
+const replayMagic = "WRPLAY02"
 
 // Record tags.
 const (
-	recBegin   byte = 1 // run shape: sync, hasPlan, corrupts
-	recSched   byte = 2 // one schedule decision
-	recPlanDec byte = 3 // one fault-plan decision + healed count
-	recFates   byte = 4 // one step's delivery fates + rewrites
-	recSettled byte = 5 // one Settled verdict
-	recSnap    byte = 6 // one engine snapshot (engine binary form)
-	recEnd     byte = 7 // final step + fixpoint flag; seals the recording
+	recBegin byte = 1 // run shape: sync, hasPlan, corrupts
+	recStep  byte = 2 // one executed step's decisions
+	recSnap  byte = 3 // one engine snapshot (engine binary form)
+	recEnd   byte = 4 // final step + fixpoint flag; seals the recording
 )
 
 // recordWriter frames records onto a writer with a sticky error.
@@ -51,8 +77,34 @@ func (rw *recordWriter) emit(tag byte, payload []byte) {
 	_, rw.err = rw.w.Write(rw.buf)
 }
 
-// Bit-packed bool slices: uvarint count, then ⌈count/8⌉ bytes, LSB first.
-func packBools(b []byte, v []bool) []byte {
+func (rw *recordWriter) snapshot(s *engine.Snapshot) {
+	if rw.err != nil {
+		return
+	}
+	data, err := s.MarshalBinary()
+	if err != nil {
+		rw.err = fmt.Errorf("replay: serialize snapshot at step %d: %w", s.Step, err)
+		return
+	}
+	rw.emit(recSnap, data)
+}
+
+func encodeBegin(rec *Recording) []byte {
+	var b []byte
+	b = enc.Bool(b, rec.Sync)
+	b = enc.Bool(b, rec.HasPlan)
+	b = enc.Bool(b, rec.Corrupts)
+	return b
+}
+
+func encodeEnd(rec *Recording) []byte {
+	var b []byte
+	b = enc.Varint(b, int64(rec.FinalStep))
+	b = enc.Bool(b, rec.Fixpoint)
+	return b
+}
+
+func appendMask(b []byte, v []bool) []byte {
 	b = enc.Uvarint(b, uint64(len(v)))
 	var acc byte
 	for i, x := range v {
@@ -70,172 +122,232 @@ func packBools(b []byte, v []bool) []byte {
 	return b
 }
 
-func unpackBools(rd *enc.Reader) ([]bool, error) {
-	k := int(rd.Uvarint())
-	if rd.Err() != nil || k == 0 {
-		return nil, rd.Err()
+// appendSchedule opens a step record: the step number and the schedule
+// decision.
+func appendSchedule(b []byte, t int, dec *schedule.Decision) []byte {
+	b = enc.Uvarint(b, uint64(t))
+	b = enc.Bool(b, dec.ActivateAll)
+	if !dec.ActivateAll {
+		b = appendMask(b, dec.Activate)
 	}
-	if (k+7)/8 > rd.Len() {
-		return nil, fmt.Errorf("replay: %d-bool mask with %d bytes left", k, rd.Len())
-	}
-	v := make([]bool, k)
-	var acc byte
-	for i := range v {
-		if i%8 == 0 {
-			acc = rd.Byte()
-		}
-		v[i] = acc&(1<<(i%8)) != 0
-	}
-	return v, rd.Err()
-}
-
-func encodeBegin(rec *Recording) []byte {
-	var b []byte
-	b = enc.Bool(b, rec.Sync)
-	b = enc.Bool(b, rec.HasPlan)
-	b = enc.Bool(b, rec.Corrupts)
-	return b
-}
-
-func encodeSched(s *schedStep) []byte {
-	var b []byte
-	b = enc.Varint(b, int64(s.step))
-	b = enc.Bool(b, s.activateAll)
-	b = enc.Bool(b, s.deliverAll)
-	if !s.activateAll {
-		b = packBools(b, s.activate)
-	}
-	if !s.deliverAll {
-		b = enc.Uvarint(b, uint64(len(s.deliver)))
-		for _, d := range s.deliver {
+	b = enc.Bool(b, dec.DeliverAll)
+	if !dec.DeliverAll {
+		b = enc.Uvarint(b, uint64(len(dec.Deliver)))
+		for _, d := range dec.Deliver {
 			b = enc.Varint(b, int64(d))
 		}
 	}
 	return b
 }
 
-func decodeSched(rd *enc.Reader) (schedStep, error) {
-	var s schedStep
-	s.step = int(rd.Varint())
-	s.activateAll = rd.Bool()
-	s.deliverAll = rd.Bool()
-	if rd.Err() == nil && !s.activateAll {
-		var err error
-		if s.activate, err = unpackBools(rd); err != nil {
-			return s, err
+// appendPlan continues a step record with the plan decision and the
+// plan's healed count. The fate count that follows is only known when the
+// step closes (see Recorder.closeStep).
+func appendPlan(b []byte, dec *fault.Decision, healed int64) []byte {
+	b = appendMask(b, dec.Crash)
+	b = enc.Uvarint(b, uint64(len(dec.Recover)))
+	for _, k := range dec.Recover {
+		b = append(b, byte(k))
+	}
+	b = appendMask(b, dec.Resend)
+	return enc.Varint(b, healed)
+}
+
+// stepOf reads the step number off a well-formed step record.
+func stepOf(b []byte) int {
+	t, _ := binary.Uvarint(b)
+	return int(t)
+}
+
+// stepReader decodes one step record field by field, in record order.
+// The players read each step straight into the engine's decisions with
+// it; Load runs it over every record before keeping the record.
+type stepReader struct {
+	enc.Reader
+	corrupts bool   // corrupt fates are allowed
+	fates    uint64 // fates not yet read
+	rewrite  bool   // the last fate read was corrupt; its rewrite is next
+}
+
+// open starts on record b and returns its step number.
+func (s *stepReader) open(b []byte, corrupts bool) (int, error) {
+	*s = stepReader{Reader: *enc.NewReader(b), corrupts: corrupts}
+	t := s.Uvarint()
+	if err := s.Err(); err != nil {
+		return 0, err
+	}
+	if t < 1 || t > math.MaxInt {
+		return 0, fmt.Errorf("step number %d out of range", t)
+	}
+	return int(t), nil
+}
+
+// count reads the uvarint count of a run-sized field: it must equal the
+// run's size want, and its entries, at least bits bits each, must fit in
+// the bytes left.
+func (s *stepReader) count(what string, want, bits int) error {
+	k := s.Uvarint()
+	if err := s.Err(); err != nil {
+		return err
+	}
+	if k != uint64(want) {
+		return fmt.Errorf("%s covers %d entries, run has %d", what, k, want)
+	}
+	if need := (k*uint64(bits) + 7) / 8; need > uint64(s.Len()) {
+		return fmt.Errorf("%s needs %d bytes, %d left", what, need, s.Len())
+	}
+	return nil
+}
+
+func (s *stepReader) mask(what string, dst []bool) error {
+	if err := s.count(what, len(dst), 1); err != nil {
+		return err
+	}
+	var acc byte
+	for i := range dst {
+		if i%8 == 0 {
+			acc = s.Byte()
+		}
+		dst[i] = acc&(1<<(i%8)) != 0
+	}
+	return s.Err()
+}
+
+// schedule reads the schedule decision into dec, which the engine has
+// just reset.
+func (s *stepReader) schedule(dec *schedule.Decision) error {
+	if dec.ActivateAll = s.Bool(); !dec.ActivateAll {
+		if err := s.mask("activation mask", dec.Activate); err != nil {
+			return err
 		}
 	}
-	if rd.Err() == nil && !s.deliverAll {
-		k := int(rd.Uvarint())
-		if rd.Err() == nil && k > rd.Len() {
-			return s, fmt.Errorf("replay: schedule record claims %d links, %d bytes left", k, rd.Len())
+	if dec.DeliverAll = s.Bool(); !dec.DeliverAll {
+		if err := s.count("delivery counts", len(dec.Deliver), 8); err != nil {
+			return err
 		}
-		if rd.Err() == nil && k > 0 {
-			s.deliver = make([]int32, k)
-			for i := range s.deliver {
-				s.deliver[i] = int32(rd.Varint())
+		for l := range dec.Deliver {
+			d := s.Varint()
+			if d != int64(int32(d)) {
+				return fmt.Errorf("link %d delivery count %d out of range", l, d)
+			}
+			dec.Deliver[l] = int32(d)
+		}
+	}
+	return s.Err()
+}
+
+// plan reads the plan decision into dec and returns the healed count; the
+// step's fates follow.
+func (s *stepReader) plan(dec *fault.Decision) (int64, error) {
+	if err := s.mask("crash mask", dec.Crash); err != nil {
+		return 0, err
+	}
+	if err := s.count("recover kinds", len(dec.Recover), 8); err != nil {
+		return 0, err
+	}
+	for v := range dec.Recover {
+		k := s.Byte()
+		if k > byte(fault.RecoverReset) {
+			return 0, fmt.Errorf("node %d: unknown recover kind %d", v, k)
+		}
+		dec.Recover[v] = fault.RecoverKind(k)
+	}
+	if err := s.mask("resend mask", dec.Resend); err != nil {
+		return 0, err
+	}
+	healed := s.Varint()
+	s.fates = s.Uvarint()
+	if err := s.Err(); err != nil {
+		return 0, err
+	}
+	if s.fates > uint64(s.Len()) {
+		return 0, fmt.Errorf("%d fates, %d bytes left", s.fates, s.Len())
+	}
+	return healed, nil
+}
+
+// fate reads the next delivery fate.
+func (s *stepReader) fate() (fault.Fate, error) {
+	if s.fates == 0 || s.rewrite {
+		return 0, errors.New("no fate recorded for this delivery")
+	}
+	s.fates--
+	b := s.Byte()
+	if err := s.Err(); err != nil {
+		return 0, err
+	}
+	f := fault.Fate(b)
+	switch {
+	case b > byte(fault.FateCorrupt):
+		return 0, fmt.Errorf("unknown fate %d", b)
+	case f == fault.FateCorrupt && !s.corrupts:
+		return 0, errors.New("corrupt fate in a recording whose plan cannot corrupt")
+	}
+	s.rewrite = f == fault.FateCorrupt
+	return f, nil
+}
+
+// rewritten reads the rewrite of the corrupt fate just read.
+func (s *stepReader) rewritten() (string, error) {
+	if !s.rewrite {
+		return "", errors.New("no rewrite recorded for this delivery")
+	}
+	s.rewrite = false
+	msg := s.String()
+	return msg, s.Err()
+}
+
+// settled reads the step's Settled verdict, the record's last field.
+func (s *stepReader) settled() (bool, error) {
+	if s.fates > 0 || s.rewrite || s.Len() == 0 {
+		return false, errors.New("no Settled verdict recorded at this point")
+	}
+	ok := s.Bool()
+	return ok, s.Close()
+}
+
+// check decodes a whole step record into scratch decisions, exactly as
+// the players will serve it, and returns its step number, which must
+// follow prev.
+func (s *stepReader) check(b []byte, rec *Recording, prev int, sdec *schedule.Decision, fdec *fault.Decision) (int, error) {
+	t, err := s.open(b, rec.Corrupts)
+	if err != nil {
+		return 0, err
+	}
+	if t <= prev {
+		return 0, fmt.Errorf("step %d after step %d", t, prev)
+	}
+	if err := s.schedule(sdec); err != nil {
+		return 0, err
+	}
+	if rec.HasPlan {
+		if _, err := s.plan(fdec); err != nil {
+			return 0, err
+		}
+		for s.fates > 0 {
+			f, err := s.fate()
+			if err == nil && f == fault.FateCorrupt {
+				_, err = s.rewritten()
+			}
+			if err != nil {
+				return 0, err
+			}
+		}
+		if s.Len() > 0 {
+			if _, err := s.settled(); err != nil {
+				return 0, err
 			}
 		}
 	}
-	return s, rd.Err()
+	return t, s.Close()
 }
 
-func encodePlan(s *planStep) []byte {
-	var b []byte
-	b = enc.Varint(b, int64(s.step))
-	b = packBools(b, s.crash)
-	b = enc.Uvarint(b, uint64(len(s.recover)))
-	for _, k := range s.recover {
-		b = append(b, byte(k))
-	}
-	b = packBools(b, s.resend)
-	b = enc.Varint(b, s.healed)
-	return b
-}
-
-func decodePlan(rd *enc.Reader) (planStep, error) {
-	var s planStep
-	var err error
-	s.step = int(rd.Varint())
-	if s.crash, err = unpackBools(rd); err != nil {
-		return s, err
-	}
-	k := int(rd.Uvarint())
-	if rd.Err() == nil && k > rd.Len() {
-		return s, fmt.Errorf("replay: plan record claims %d recover kinds, %d bytes left", k, rd.Len())
-	}
-	if rd.Err() == nil && k > 0 {
-		s.recover = make([]fault.RecoverKind, k)
-		for i := range s.recover {
-			s.recover[i] = fault.RecoverKind(rd.Byte())
-		}
-	}
-	if s.resend, err = unpackBools(rd); err != nil {
-		return s, err
-	}
-	s.healed = rd.Varint()
-	return s, rd.Err()
-}
-
-func encodeFates(s *fateStep) []byte {
-	var b []byte
-	b = enc.Varint(b, int64(s.step))
-	b = enc.Uvarint(b, uint64(len(s.fates)))
-	for _, f := range s.fates {
-		b = append(b, byte(f))
-	}
-	b = enc.Uvarint(b, uint64(len(s.rewrites)))
-	for _, m := range s.rewrites {
-		b = enc.String(b, m)
-	}
-	return b
-}
-
-func decodeFates(rd *enc.Reader) (fateStep, error) {
-	var s fateStep
-	s.step = int(rd.Varint())
-	k := int(rd.Uvarint())
-	if rd.Err() == nil && k > rd.Len() {
-		return s, fmt.Errorf("replay: fate record claims %d fates, %d bytes left", k, rd.Len())
-	}
-	if rd.Err() == nil && k > 0 {
-		s.fates = make([]fault.Fate, k)
-		for i := range s.fates {
-			s.fates[i] = fault.Fate(rd.Byte())
-		}
-	}
-	k = int(rd.Uvarint())
-	if rd.Err() == nil && k > rd.Len() {
-		return s, fmt.Errorf("replay: fate record claims %d rewrites, %d bytes left", k, rd.Len())
-	}
-	if rd.Err() == nil && k > 0 {
-		s.rewrites = make([]string, k)
-		for i := range s.rewrites {
-			s.rewrites[i] = rd.String()
-		}
-	}
-	return s, rd.Err()
-}
-
-func encodeSettled(s settledStep) []byte {
-	var b []byte
-	b = enc.Varint(b, int64(s.step))
-	b = enc.Bool(b, s.ok)
-	return b
-}
-
-func encodeEnd(rec *Recording) []byte {
-	var b []byte
-	b = enc.Varint(b, int64(rec.FinalStep))
-	b = enc.Bool(b, rec.Fixpoint)
-	return b
-}
-
-// Load decodes a WRPLAY01 recording. The machine and numbering decode the
+// Load decodes a WRPLAY02 recording. The machine and numbering decode the
 // embedded snapshots (the machine supplies the gob state template) and
-// must be the ones the run was recorded with. A truncated tail — the
-// recording process was killed mid-run — is not an error: Load returns
-// the intact prefix, with FinalStep 0 when the end record is missing.
+// size the decisions every step record must fill, and must be the ones the
+// run was recorded with. A truncated tail — the recording process was
+// killed mid-run — is not an error: Load returns the intact prefix, with
+// FinalStep 0 when the end record is missing.
 func Load(r io.Reader, m machine.Machine, p *port.Numbering) (*Recording, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(replayMagic))
@@ -245,8 +357,11 @@ func Load(r io.Reader, m machine.Machine, p *port.Numbering) (*Recording, error)
 	if string(magic) != replayMagic {
 		return nil, fmt.Errorf("replay: bad magic %q, want %q", magic, replayMagic)
 	}
+	n, links := p.Graph().N(), p.Routes().NumPorts()
+	sdec, fdec := schedule.NewDecision(n, links), fault.NewDecision(n, links)
+	var sr stepReader
 	rec := &Recording{}
-	sawBegin := false
+	sawBegin, sawEnd, last := false, false, 0
 	for {
 		tag, err := br.ReadByte()
 		if err == io.EOF {
@@ -256,40 +371,41 @@ func Load(r io.Reader, m machine.Machine, p *port.Numbering) (*Recording, error)
 			return nil, fmt.Errorf("replay: read record tag: %w", err)
 		}
 		size, err := binary.ReadUvarint(br)
-		if err != nil {
+		if err != nil || size > math.MaxInt64 {
 			break // truncated frame header: keep the prefix
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		// Read through a bounded reader: a header may claim more bytes
+		// than the stream holds, and only the bytes present are allocated.
+		payload, err := io.ReadAll(io.LimitReader(br, int64(size)))
+		if err != nil {
+			return nil, fmt.Errorf("replay: read record: %w", err)
+		}
+		if uint64(len(payload)) < size {
 			break // truncated payload: keep the prefix
+		}
+		if tag != recBegin && !sawBegin {
+			return nil, fmt.Errorf("replay: record tag %d before the begin record", tag)
+		}
+		if sawEnd {
+			return nil, fmt.Errorf("replay: record tag %d after the end record", tag)
 		}
 		rd := enc.NewReader(payload)
 		switch tag {
 		case recBegin:
+			if sawBegin {
+				return nil, errors.New("replay: second begin record")
+			}
 			rec.Sync = rd.Bool()
 			rec.HasPlan = rd.Bool()
 			rec.Corrupts = rd.Bool()
 			sawBegin = true
-			err = rd.Err()
-		case recSched:
-			var s schedStep
-			if s, err = decodeSched(rd); err == nil {
-				rec.scheds = append(rec.scheds, s)
+			err = rd.Close()
+		case recStep:
+			if rec.Sync {
+				return nil, errors.New("replay: step record in a synchronous recording")
 			}
-		case recPlanDec:
-			var s planStep
-			if s, err = decodePlan(rd); err == nil {
-				rec.plans = append(rec.plans, s)
-			}
-		case recFates:
-			var s fateStep
-			if s, err = decodeFates(rd); err == nil {
-				rec.fates = append(rec.fates, s)
-			}
-		case recSettled:
-			s := settledStep{step: int(rd.Varint()), ok: rd.Bool()}
-			if err = rd.Err(); err == nil {
-				rec.settled = append(rec.settled, s)
+			if last, err = sr.check(payload, rec, last, sdec, fdec); err == nil {
+				rec.steps = append(rec.steps, payload)
 			}
 		case recSnap:
 			var snap *engine.Snapshot
@@ -299,7 +415,8 @@ func Load(r io.Reader, m machine.Machine, p *port.Numbering) (*Recording, error)
 		case recEnd:
 			rec.FinalStep = int(rd.Varint())
 			rec.Fixpoint = rd.Bool()
-			err = rd.Err()
+			sawEnd = true
+			err = rd.Close()
 		default:
 			return nil, fmt.Errorf("replay: unknown record tag %d", tag)
 		}

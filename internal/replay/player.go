@@ -1,13 +1,18 @@
 package replay
 
 // player.go is the replay side: a schedule and a fault plan that serve the
-// recorded decision stream back to the engine instead of drawing any
-// randomness. The engine consumes decisions, fates and rewrites in exactly
-// the order it emitted them while recording (its own determinism
-// discipline guarantees that), so the players are plain cursors. Any
-// mismatch — a step out of order, an exhausted stream — means the replay
-// diverged from the recording (or the recording is corrupt) and fails the
-// run via a replayFailure panic that Replay converts to an error.
+// recorded step records back to the engine instead of drawing any
+// randomness. The engine asks for decisions, fates, rewrites and verdicts
+// in exactly the order it did while recording (its own determinism
+// discipline guarantees that), which is the order of each step record's
+// fields, so both players share one cursor: the schedule player opens
+// step t's record and decodes its schedule decision straight into the
+// engine's Decision, and the plan player decodes the rest of the same
+// bytes. Any mismatch — a step out of order, an exhausted stream, a field
+// the engine asks for that the record does not hold or one it leaves
+// unread — means the replay diverged from the recording (or the recording
+// is corrupt) and fails the run via a replayFailure panic that Replay
+// converts to an error.
 //
 // Player shape mirrors recorded shape on the one axis the engine can
 // observe: a player for a corrupting plan implements Corrupter (the engine
@@ -24,145 +29,101 @@ import (
 	"weakmodels/internal/schedule"
 )
 
-// playSchedule serves recorded schedule decisions.
-type playSchedule struct {
+// player is the cursor the two players share.
+type player struct {
 	rec   *Recording
-	start int // first record index with step > the resume step
-	cur   int
+	start int // index of the first step record after the resume step
+	next  int // index of the next step record
+	step  int // the step being served; 0 before the first
+	rd    stepReader
+
+	initHealed, healed int64
 }
 
-func newPlaySchedule(rec *Recording, fromStep int) *playSchedule {
-	p := &playSchedule{rec: rec}
-	for p.start < len(rec.scheds) && rec.scheds[p.start].step <= fromStep {
+// newPlayers returns the schedule and, for recordings with a plan, the
+// fault plan that replay rec from fromStep (the snapshot from, when not
+// nil).
+func newPlayers(rec *Recording, fromStep int, from *engine.Snapshot) (schedule.Schedule, fault.Plan) {
+	p := &player{rec: rec}
+	for p.start < len(rec.steps) && stepOf(rec.steps[p.start]) <= fromStep {
 		p.start++
 	}
-	return p
-}
-
-func (p *playSchedule) Name() string { return "replay" }
-
-func (p *playSchedule) Begin(n, links int) { p.cur = p.start }
-
-func (p *playSchedule) Step(t int, _ schedule.View, dec *schedule.Decision) {
-	if p.cur >= len(p.rec.scheds) {
-		failReplay("schedule stream exhausted at step %d", t)
+	if !rec.HasPlan {
+		return playSchedule{p}, nil
 	}
-	s := &p.rec.scheds[p.cur]
-	if s.step != t {
-		failReplay("schedule stream at step %d, engine at step %d", s.step, t)
-	}
-	p.cur++
-	dec.ActivateAll, dec.DeliverAll = s.activateAll, s.deliverAll
-	if !s.activateAll {
-		if len(s.activate) != len(dec.Activate) {
-			failReplay("step %d activation mask covers %d nodes, run has %d", t, len(s.activate), len(dec.Activate))
-		}
-		copy(dec.Activate, s.activate)
-	}
-	if !s.deliverAll {
-		if len(s.deliver) != len(dec.Deliver) {
-			failReplay("step %d delivery counts cover %d links, run has %d", t, len(s.deliver), len(dec.Deliver))
-		}
-		copy(dec.Deliver, s.deliver)
-	}
-}
-
-// playPlan serves recorded fault decisions, delivery fates, rewrites,
-// settledness verdicts and heal counts.
-type playPlan struct {
-	rec *Recording
-
-	startPlan, startFate, startSettled int
-	initHealed                         int64
-
-	planCur    int
-	fateCur    int // index into rec.fates
-	fateIdx    int // next fate within rec.fates[fateCur]
-	rewriteIdx int // next rewrite within rec.fates[fateCur]
-	settledCur int
-	healed     int64
-}
-
-func newPlayPlan(rec *Recording, fromStep int, from *engine.Snapshot) fault.Plan {
-	p := &playPlan{rec: rec}
 	if from != nil {
 		p.initHealed = from.Healed
 	}
-	for p.startPlan < len(rec.plans) && rec.plans[p.startPlan].step <= fromStep {
-		p.startPlan++
-	}
-	for p.startFate < len(rec.fates) && rec.fates[p.startFate].step <= fromStep {
-		p.startFate++
-	}
-	for p.startSettled < len(rec.settled) && rec.settled[p.startSettled].step <= fromStep {
-		p.startSettled++
-	}
 	if rec.Corrupts {
-		return &playCorrupter{*p}
+		return playSchedule{p}, playCorrupter{playPlan{p}}
 	}
-	return p
+	return playSchedule{p}, playPlan{p}
 }
 
-func (p *playPlan) Name() string { return "replay" }
-
-func (p *playPlan) Begin(fault.Topology) {
-	p.planCur, p.fateCur, p.settledCur = p.startPlan, p.startFate, p.startSettled
-	p.fateIdx, p.rewriteIdx = 0, 0
-	p.healed = p.initHealed
+// fail reports a field of the step being served that cannot be read.
+func (p *player) fail(err error) {
+	if err != nil {
+		failReplay("step %d: %v", p.step, err)
+	}
 }
 
-func (p *playPlan) Step(t int, _ fault.View, dec *fault.Decision) {
-	if p.planCur >= len(p.rec.plans) {
-		failReplay("fault-plan stream exhausted at step %d", t)
+// playSchedule serves each step's schedule decision, opening its record.
+type playSchedule struct{ *player }
+
+func (p playSchedule) Name() string { return "replay" }
+
+func (p playSchedule) Begin(n, links int) { p.next, p.step = p.start, 0 }
+
+func (p playSchedule) Step(t int, _ schedule.View, dec *schedule.Decision) {
+	if p.step > 0 && p.rd.Len() > 0 {
+		failReplay("step %d: the replay left %d bytes of its record unread", p.step, p.rd.Len())
 	}
-	s := &p.rec.plans[p.planCur]
-	if s.step != t {
-		failReplay("fault-plan stream at step %d, engine at step %d", s.step, t)
+	if p.next >= len(p.rec.steps) {
+		failReplay("decision stream exhausted at step %d", t)
 	}
-	p.planCur++
-	if len(s.crash) != len(dec.Crash) || len(s.resend) != len(dec.Resend) {
-		failReplay("step %d fault decision is for %d nodes/%d links, run has %d/%d",
-			t, len(s.crash), len(s.resend), len(dec.Crash), len(dec.Resend))
+	step, err := p.rd.open(p.rec.steps[p.next], p.rec.Corrupts)
+	p.next++
+	p.fail(err)
+	if step != t {
+		failReplay("decision stream at step %d, engine at step %d", step, t)
 	}
-	copy(dec.Crash, s.crash)
-	copy(dec.Recover, s.recover)
-	copy(dec.Resend, s.resend)
-	p.healed = s.healed
+	p.step = t
+	p.fail(p.rd.schedule(dec))
 }
 
-func (p *playPlan) Filter(t, link int) fault.Fate {
-	for p.fateCur < len(p.rec.fates) && p.fateIdx >= len(p.rec.fates[p.fateCur].fates) {
-		p.fateCur++
-		p.fateIdx, p.rewriteIdx = 0, 0
-	}
-	if p.fateCur >= len(p.rec.fates) || p.rec.fates[p.fateCur].step != t {
-		failReplay("fate stream has no fate for step %d link %d", t, link)
-	}
-	f := p.rec.fates[p.fateCur].fates[p.fateIdx]
-	p.fateIdx++
+// playPlan serves the rest of each step record: the fault decision and
+// heal count, the delivery fates and the Settled verdict.
+type playPlan struct{ *player }
+
+func (p playPlan) Name() string { return "replay" }
+
+func (p playPlan) Begin(fault.Topology) { p.healed = p.initHealed }
+
+func (p playPlan) Step(t int, _ fault.View, dec *fault.Decision) {
+	healed, err := p.rd.plan(dec)
+	p.fail(err)
+	p.healed = healed
+}
+
+func (p playPlan) Filter(t, link int) fault.Fate {
+	f, err := p.rd.fate()
+	p.fail(err)
 	return f
 }
 
-func (p *playPlan) Settled() bool {
-	if p.settledCur >= len(p.rec.settled) {
-		failReplay("settled stream exhausted")
-	}
-	ok := p.rec.settled[p.settledCur].ok
-	p.settledCur++
+func (p playPlan) Settled() bool {
+	ok, err := p.rd.settled()
+	p.fail(err)
 	return ok
 }
 
-func (p *playPlan) Healed() int64 { return p.healed }
+func (p playPlan) Healed() int64 { return p.healed }
 
 // playCorrupter is the player for recordings whose plan could corrupt.
 type playCorrupter struct{ playPlan }
 
-func (p *playCorrupter) Corrupt(t, link int, _ string) string {
-	if p.fateCur >= len(p.rec.fates) || p.rec.fates[p.fateCur].step != t ||
-		p.rewriteIdx >= len(p.rec.fates[p.fateCur].rewrites) {
-		failReplay("rewrite stream has no rewrite for step %d link %d", t, link)
-	}
-	msg := p.rec.fates[p.fateCur].rewrites[p.rewriteIdx]
-	p.rewriteIdx++
+func (p playCorrupter) Corrupt(t, link int, _ string) string {
+	msg, err := p.rd.rewritten()
+	p.fail(err)
 	return msg
 }

@@ -2,8 +2,9 @@ package replay
 
 // record.go is the recording side: New wraps a run's Options so that the
 // schedule, the fault plan and the checkpoint stream all pass through a
-// Recorder, which mirrors every decision into an in-memory Recording and
-// (optionally) streams it to a writer in the WRPLAY01 format, record by
+// Recorder, which encodes each step's decisions into one WRPLAY02 step
+// record as the engine asks for them, keeps the record's bytes in the
+// in-memory Recording and (optionally) streams them to a writer record by
 // record — a killed process leaves a loadable prefix.
 //
 // The wrappers are shape-preserving: the engine type-asserts its
@@ -18,9 +19,13 @@ package replay
 // observationally identical to having no Healer at all.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
+	"weakmodels/internal/enc"
 	"weakmodels/internal/engine"
 	"weakmodels/internal/fault"
 	"weakmodels/internal/schedule"
@@ -32,11 +37,12 @@ type Recorder struct {
 	rec *Recording
 	out *recordWriter // nil for in-memory recordings
 
-	// Pending fates of the step currently being filtered; flushed when a
-	// later step's record arrives and at Finish.
-	cur fateStep
-
-	lastPlanStep int
+	// The open step's record, encoded into a reused scratch buffer as the
+	// engine's calls arrive (empty between steps). Its fates are counted
+	// as they come; the count goes in at fatesAt when the step closes.
+	buf     []byte
+	fatesAt int
+	fates   uint64
 }
 
 // New prepares a recorded run: it returns a copy of opts whose schedule,
@@ -79,7 +85,9 @@ func New(opts engine.Options, every int, w io.Writer) (engine.Options, *Recorder
 	} else {
 		r.rec.Sync = true
 	}
-	r.emit(recBegin, func() []byte { return encodeBegin(r.rec) })
+	if r.out != nil {
+		r.out.emit(recBegin, encodeBegin(r.rec))
+	}
 	opts.Checkpoint = &engine.CheckpointOptions{Every: every, Sink: r.addSnapshot}
 	return opts, r, nil
 }
@@ -92,96 +100,44 @@ func (r *Recorder) Recording() *Recording { return r.rec }
 // the trailing records. A recording without Finish (the run errored, or
 // the process died) keeps its prefix but cannot be replayed.
 func (r *Recorder) Finish(res *engine.Result) error {
-	r.flushFates()
+	r.closeStep()
 	r.rec.FinalStep = res.Rounds
 	r.rec.Fixpoint = res.Fixpoint
-	r.emit(recEnd, func() []byte { return encodeEnd(r.rec) })
 	if r.out != nil {
+		r.out.emit(recEnd, encodeEnd(r.rec))
 		return r.out.err
 	}
 	return nil
 }
 
-// emit streams one record when a writer is attached.
-func (r *Recorder) emit(tag byte, payload func() []byte) {
-	if r.out != nil {
-		r.out.emit(tag, payload())
-	}
-}
-
-// addSnapshot is the engine's checkpoint sink.
+// addSnapshot is the engine's checkpoint sink. The snapshot at step t is
+// captured after every decision of step t, so it closes the step's record.
 func (r *Recorder) addSnapshot(s *engine.Snapshot) error {
-	// The snapshot is captured after the step's last Filter draw, so the
-	// pending fates belong before it in the stream.
-	r.flushFates()
+	r.closeStep()
 	r.rec.snaps = append(r.rec.snaps, s)
 	if r.out != nil {
-		data, err := s.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("replay: serialize snapshot at step %d: %w", s.Step, err)
-		}
-		r.out.emit(recSnap, data)
+		r.out.snapshot(s)
 		return r.out.err
 	}
 	return nil
 }
 
-func (r *Recorder) recordSched(t int, dec *schedule.Decision) {
-	r.flushFates()
-	s := schedStep{step: t, activateAll: dec.ActivateAll, deliverAll: dec.DeliverAll}
-	if !dec.ActivateAll {
-		s.activate = append([]bool(nil), dec.Activate...)
-	}
-	if !dec.DeliverAll {
-		s.deliver = append([]int32(nil), dec.Deliver...)
-	}
-	r.rec.scheds = append(r.rec.scheds, s)
-	r.emit(recSched, func() []byte { return encodeSched(&s) })
-}
-
-func (r *Recorder) recordPlan(t int, dec *fault.Decision, healed int64) {
-	r.lastPlanStep = t
-	s := planStep{
-		step:    t,
-		crash:   append([]bool(nil), dec.Crash...),
-		recover: append([]fault.RecoverKind(nil), dec.Recover...),
-		resend:  append([]bool(nil), dec.Resend...),
-		healed:  healed,
-	}
-	r.rec.plans = append(r.rec.plans, s)
-	r.emit(recPlanDec, func() []byte { return encodePlan(&s) })
-}
-
-func (r *Recorder) recordFate(t int, f fault.Fate) {
-	if r.cur.step != t {
-		r.flushFates()
-		r.cur.step = t
-	}
-	r.cur.fates = append(r.cur.fates, f)
-}
-
-func (r *Recorder) recordRewrite(t int, msg string) {
-	if r.cur.step != t {
-		r.flushFates()
-		r.cur.step = t
-	}
-	r.cur.rewrites = append(r.cur.rewrites, msg)
-}
-
-func (r *Recorder) recordSettled(ok bool) {
-	s := settledStep{step: r.lastPlanStep, ok: ok}
-	r.rec.settled = append(r.rec.settled, s)
-	r.emit(recSettled, func() []byte { return encodeSettled(s) })
-}
-
-func (r *Recorder) flushFates() {
-	if len(r.cur.fates) == 0 && len(r.cur.rewrites) == 0 {
+// closeStep finishes the open step's record: it inserts the fate count on
+// plan runs, keeps one copy of the record and streams it.
+func (r *Recorder) closeStep() {
+	if len(r.buf) == 0 {
 		return
 	}
-	s := r.cur
-	r.rec.fates = append(r.rec.fates, s)
-	r.emit(recFates, func() []byte { return encodeFates(&s) })
-	r.cur = fateStep{}
+	if r.rec.HasPlan {
+		var n [binary.MaxVarintLen64]byte
+		r.buf = slices.Insert(r.buf, r.fatesAt, enc.Uvarint(n[:0], r.fates)...)
+	}
+	b := bytes.Clone(r.buf)
+	r.buf = r.buf[:0]
+	r.rec.steps = append(r.rec.steps, b)
+	if r.out != nil {
+		r.out.emit(recStep, b)
+	}
 }
 
 // recSchedule wraps a schedule, recording every decision. It always
@@ -196,7 +152,8 @@ func (s *recSchedule) Name() string       { return s.inner.Name() }
 func (s *recSchedule) Begin(n, links int) { s.inner.Begin(n, links) }
 func (s *recSchedule) Step(t int, view schedule.View, dec *schedule.Decision) {
 	s.inner.Step(t, view, dec)
-	s.r.recordSched(t, dec)
+	s.r.closeStep()
+	s.r.buf = appendSchedule(s.r.buf, t, dec)
 }
 func (s *recSchedule) Dilation(nodes int) int {
 	if d, ok := s.inner.(schedule.Dilated); ok {
@@ -225,7 +182,8 @@ func wrapSchedule(inner schedule.Schedule, r *Recorder) schedule.Schedule {
 	return &base
 }
 
-// recPlan wraps a fault plan, recording decisions, fates and settledness.
+// recPlan wraps a fault plan, recording its decisions, fates, rewrites and
+// Settled verdicts into the open step record.
 type recPlan struct {
 	inner fault.Plan
 	r     *Recorder
@@ -235,16 +193,19 @@ func (p *recPlan) Name() string             { return p.inner.Name() }
 func (p *recPlan) Begin(top fault.Topology) { p.inner.Begin(top) }
 func (p *recPlan) Step(t int, view fault.View, dec *fault.Decision) {
 	p.inner.Step(t, view, dec)
-	p.r.recordPlan(t, dec, p.Healed())
+	r := p.r
+	r.buf = appendPlan(r.buf, dec, p.Healed())
+	r.fatesAt, r.fates = len(r.buf), 0
 }
 func (p *recPlan) Filter(t, link int) fault.Fate {
 	f := p.inner.Filter(t, link)
-	p.r.recordFate(t, f)
+	p.r.buf = append(p.r.buf, byte(f))
+	p.r.fates++
 	return f
 }
 func (p *recPlan) Settled() bool {
 	ok := p.inner.Settled()
-	p.r.recordSettled(ok)
+	p.r.buf = enc.Bool(p.r.buf, ok)
 	return ok
 }
 
@@ -259,7 +220,7 @@ func (p *recPlan) Healed() int64 {
 
 func (p *recPlan) corrupt(t, link int, msg string) string {
 	rewrite := p.inner.(fault.Corrupter).Corrupt(t, link, msg)
-	p.r.recordRewrite(t, rewrite)
+	p.r.buf = enc.String(p.r.buf, rewrite)
 	return rewrite
 }
 

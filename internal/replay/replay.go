@@ -3,7 +3,10 @@
 // fault-plan decision, delivery fate, Byzantine rewrite and settledness
 // verdict, in the engine's global draw order — together with periodic
 // state snapshots, and reconstructs the run from them without re-drawing
-// any randomness.
+// any randomness. The adversary's decisions at one step make one WRPLAY02
+// step record (codec.go); a Recording keeps exactly the bytes it streams,
+// one record per step, and the players decode them straight into the
+// engine's decisions.
 //
 // The contract is byte-exactness, inherited from the engine's own
 // determinism discipline: a replayed run produces the same Result (modulo
@@ -24,52 +27,14 @@
 package replay
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"weakmodels/internal/engine"
-	"weakmodels/internal/fault"
 	"weakmodels/internal/machine"
 	"weakmodels/internal/port"
 )
-
-// schedStep is one recorded schedule decision.
-type schedStep struct {
-	step                    int
-	activateAll, deliverAll bool
-	activate                []bool  // nil when activateAll
-	deliver                 []int32 // nil when deliverAll
-}
-
-// planStep is one recorded fault-plan decision, plus the plan's cumulative
-// healed-link count after the step (the Healer reading the engine journals
-// heal deltas from).
-type planStep struct {
-	step    int
-	crash   []bool
-	recover []fault.RecoverKind
-	resend  []bool
-	healed  int64
-}
-
-// fateStep is one step's delivery fates in global (link, queue-position)
-// order, with the Byzantine rewrites of its FateCorrupt entries in the
-// same order.
-type fateStep struct {
-	step     int
-	fates    []fault.Fate
-	rewrites []string
-}
-
-// settledStep is one recorded Plan.Settled verdict (drawn at fixpoint
-// probes, whose cadence is deterministic).
-type settledStep struct {
-	step int
-	ok   bool
-}
 
 // Recording is a run's full decision stream plus its snapshots — enough to
 // reconstruct the run bit-exactly from step 0 or from any snapshot. Build
@@ -90,11 +55,10 @@ type Recording struct {
 	// Fixpoint mirrors the recorded Result.Fixpoint.
 	Fixpoint bool
 
-	scheds  []schedStep
-	plans   []planStep
-	fates   []fateStep
-	settled []settledStep
-	snaps   []*engine.Snapshot
+	// steps holds one encoded step record per recorded step, in step
+	// order: exactly the payloads streamed for them.
+	steps [][]byte
+	snaps []*engine.Snapshot
 }
 
 // Snapshots returns the recorded snapshots in step order. The slice is
@@ -151,10 +115,7 @@ func (rec *Recording) Replay(m machine.Machine, p *port.Numbering, base engine.O
 	}
 	if !rec.Sync {
 		opts.Executor = engine.ExecutorAsync
-		opts.Schedule = newPlaySchedule(rec, fromStep)
-		if rec.HasPlan {
-			opts.Fault = newPlayPlan(rec, fromStep, from)
-		}
+		opts.Schedule, opts.Fault = newPlayers(rec, fromStep, from)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -168,62 +129,26 @@ func (rec *Recording) Replay(m machine.Machine, p *port.Numbering, base engine.O
 	return engine.Run(m, p, opts)
 }
 
-// Save writes the recording to w in the WRPLAY01 binary format. Recordings
-// built by New with a non-nil writer are already streamed; Save serializes
-// an in-memory one after the fact. Snapshot states must be gob-encodable.
+// Save writes the recording to w in the WRPLAY02 binary format: the same
+// bytes the recorder streams. Recordings built by New with a non-nil
+// writer are already streamed; Save serializes an in-memory one after the
+// fact. Snapshot states must be gob-encodable.
 func (rec *Recording) Save(w io.Writer) error {
 	if _, err := w.Write([]byte(replayMagic)); err != nil {
 		return err
 	}
 	out := &recordWriter{w: w}
 	out.emit(recBegin, encodeBegin(rec))
-	type timed struct {
-		step int
-		tag  byte
-		i    int
-	}
-	var seq []timed
-	for i, s := range rec.scheds {
-		seq = append(seq, timed{s.step, recSched, i})
-	}
-	for i, s := range rec.plans {
-		seq = append(seq, timed{s.step, recPlanDec, i})
-	}
-	for i, s := range rec.fates {
-		seq = append(seq, timed{s.step, recFates, i})
-	}
-	for i, s := range rec.settled {
-		seq = append(seq, timed{s.step, recSettled, i})
-	}
-	for i, s := range rec.snaps {
-		seq = append(seq, timed{s.Step, recSnap, i})
-	}
-	// Chronological order, ties broken by the engine's per-step emission
-	// order: schedule decision, plan decision, fates, settled, snapshot.
-	tagRank := map[byte]int{recSched: 0, recPlanDec: 1, recFates: 2, recSettled: 3, recSnap: 4}
-	slices.SortStableFunc(seq, func(a, b timed) int {
-		if a.step != b.step {
-			return cmp.Compare(a.step, b.step)
+	snaps := rec.snaps
+	for _, b := range rec.steps {
+		// A snapshot follows the record of the step it was taken at.
+		for ; len(snaps) > 0 && snaps[0].Step < stepOf(b); snaps = snaps[1:] {
+			out.snapshot(snaps[0])
 		}
-		return cmp.Compare(tagRank[a.tag], tagRank[b.tag])
-	})
-	for _, rec2 := range seq {
-		switch rec2.tag {
-		case recSched:
-			out.emit(recSched, encodeSched(&rec.scheds[rec2.i]))
-		case recPlanDec:
-			out.emit(recPlanDec, encodePlan(&rec.plans[rec2.i]))
-		case recFates:
-			out.emit(recFates, encodeFates(&rec.fates[rec2.i]))
-		case recSettled:
-			out.emit(recSettled, encodeSettled(rec.settled[rec2.i]))
-		case recSnap:
-			data, err := rec.snaps[rec2.i].MarshalBinary()
-			if err != nil {
-				return fmt.Errorf("replay: serialize snapshot at step %d: %w", rec.snaps[rec2.i].Step, err)
-			}
-			out.emit(recSnap, data)
-		}
+		out.emit(recStep, b)
+	}
+	for _, s := range snaps {
+		out.snapshot(s)
 	}
 	if rec.FinalStep > 0 {
 		out.emit(recEnd, encodeEnd(rec))

@@ -2,7 +2,7 @@ package replay
 
 // replay_test.go pins the flight-recorder contract: a recorded hostile run
 // replays byte-exactly — Result, trace, journal — from step 0 and from any
-// snapshot, across worker counts and GOMAXPROCS; the WRPLAY01 file format
+// snapshot, across worker counts and GOMAXPROCS; the WRPLAY02 file format
 // round-trips and tolerates kill-truncated tails; and divergence bisection
 // names the exact first off-trajectory (step, node), cross-checked against
 // a full scan and against the journal's own fault events.
@@ -193,7 +193,7 @@ func TestReplayByteExactHostile(t *testing.T) {
 	}
 }
 
-// TestReplaySaveLoadRoundTrip: the streamed WRPLAY01 file, the after-the-
+// TestReplaySaveLoadRoundTrip: the streamed WRPLAY02 file, the after-the-
 // fact Save output and the in-memory recording all decode to the same
 // recording, and the loaded recording replays byte-exactly.
 func TestReplaySaveLoadRoundTrip(t *testing.T) {
@@ -296,9 +296,8 @@ func TestReplayValidation(t *testing.T) {
 
 	// A tampered decision stream is detected as divergence, not obeyed.
 	tampered := *rec
-	tampered.scheds = append([]schedStep(nil), rec.scheds...)
-	tampered.scheds = tampered.scheds[:len(tampered.scheds)/2]
+	tampered.steps = tampered.steps[:len(tampered.steps)/2]
 	if _, err := tampered.Replay(m, p, engine.Options{}, nil); err == nil {
-		t.Error("truncated schedule stream replayed cleanly")
+		t.Error("truncated step stream replayed cleanly")
 	}
 }
