@@ -180,10 +180,10 @@ func benchFaultPlan() fault.Plan {
 
 // benchByzantinePlan builds the hostile-link plan of the async-byzantine
 // sweep: 10% Byzantine corruption with an effectively infinite horizon, so
-// every delivery pays the filter and one in ten pays the payload rewrite
-// (and, sharded, the coordinator's corrupted-payload pre-draw). The
-// countdown workload ignores its inbox, so corrupted payloads cannot
-// change the run's length — the sweep isolates the corruption machinery.
+// every delivery pays the filter and one in ten pays the payload rewrite,
+// written in place in the link's queue. The countdown workload ignores its
+// inbox, so corrupted payloads cannot change the run's length — the sweep
+// isolates the corruption machinery.
 func benchByzantinePlan() fault.Plan {
 	const never = 1 << 30
 	return fault.ByzantineFor(7, 0.10, never)
@@ -255,8 +255,9 @@ func BenchmarkEngineAsync(b *testing.B) {
 
 // BenchmarkEngineAsyncPar sweeps the sharded parallel async driver at
 // benchParWorkers shards — the workers=GOMAXPROCS row of the async speedup
-// record. Compare against BenchmarkEngineAsync (workers=1): identical
-// semantics, bit-identical results.
+// record: the coordinator's serial delivery pass, then the parallel
+// firing phase. Compare against BenchmarkEngineAsync (workers=1):
+// identical semantics, bit-identical results.
 func BenchmarkEngineAsyncPar(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, benchParWorkers(), engineBenchGraphs(b), nil)
 }
@@ -270,9 +271,9 @@ func BenchmarkEngineAsyncFaults(b *testing.B) {
 }
 
 // BenchmarkEngineAsyncFaultsPar sweeps the sharded async driver with the
-// fault plan live: the coordinator pre-draws every delivery fate in link
-// order, so this measures the serial fate pass on top of the parallel
-// delivery/firing phases.
+// fault plan live: the coordinator delivers every link in link order,
+// drawing and applying each fate in place, so this measures the serial
+// delivery-and-fate pass followed by the parallel firing phase.
 func BenchmarkEngineAsyncFaultsPar(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, benchParWorkers(), engineBenchGraphs(b), benchFaultPlan)
 }
@@ -285,9 +286,9 @@ func BenchmarkEngineAsyncByzantine(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, 1, engineBenchGraphs(b), benchByzantinePlan)
 }
 
-// BenchmarkEngineAsyncByzantinePar is the sharded form: the coordinator
-// pre-draws corrupted payloads alongside the fates, so this measures the
-// serial corrupt-and-stash pass on top of the parallel phases.
+// BenchmarkEngineAsyncByzantinePar is the sharded form: the coordinator's
+// serial delivery pass also writes the corrupted payloads in place, ahead
+// of the parallel firing phase.
 func BenchmarkEngineAsyncByzantinePar(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, benchParWorkers(), engineBenchGraphs(b), benchByzantinePlan)
 }

@@ -11,13 +11,15 @@ package engine
 // and which nodes are activated.
 //
 // The execution discipline is Kahn-style. Every directed link (an in-port
-// slot of the routing table) carries two queues: messages in flight (sent,
-// undelivered) and mail (delivered, consumable). An activated node fires
-// only when every one of its in-ports has mail — a full frontier — and a
-// firing consumes exactly one message per in-port, steps δ, and emits one
-// message per out-port into the flight queues. Halted nodes keep firing to
-// drain their queues and feed m0 to their neighbours, exactly as halted
-// nodes send m0 forever in the synchronous semantics.
+// slot of the routing table) carries one FIFO, split by a delivery cursor
+// into mail (delivered, consumable) and messages in flight (sent,
+// undelivered) behind it; delivering moves the cursor. An activated node
+// fires only when every one of its in-ports has mail — a full frontier —
+// and a firing consumes exactly one message per in-port, steps δ, and
+// emits one message per out-port onto the back of its out-links' queues.
+// Halted nodes keep firing to drain their queues and feed m0 to their
+// neighbours, exactly as halted nodes send m0 forever in the synchronous
+// semantics.
 //
 // One-per-port consumption makes the executor confluent: the j-th message
 // on link u→v is u's j-th emission, so the k-th firing of v computes
@@ -43,22 +45,23 @@ package engine
 // global fixpoint and every undelivered message is a no-op re-send.
 //
 // Fault injection (Options.Fault, internal/fault) hooks into three
-// places, all behind a nil check so fault-free runs pay nothing. First, a
-// delivery filter on the per-link queues: each message the schedule
-// delivers is assigned a fate — delivered, dropped (delivered as m0: the
-// omission fault of message adversaries, preserving the one-entry-per-
-// emission discipline so frontiers never starve), duplicated (an extra
-// copy joins the mail queue) or corrupted (a Byzantine plan's Corrupter
-// rewrites the payload; receivers implementing machine.MessageGuard
-// degrade out-of-alphabet garbage to m0 at canonicalisation, so corruption
-// is at worst omission to a guarded machine). Partition plans are
-// correlated omission over a cut link set, so they ride the same filter.
+// places, all behind a nil check so fault-free runs pay nothing. First,
+// delivery fates, applied in place by deliver as the cursor passes each
+// message the schedule delivers — delivered, dropped (m0 written in its
+// slot: the omission fault of message adversaries, preserving the
+// one-entry-per-emission discipline so frontiers never starve),
+// duplicated (a copy inserted at the cursor) or corrupted (a Byzantine
+// plan's Corrupter rewrites the payload; receivers implementing
+// machine.MessageGuard degrade out-of-alphabet garbage to m0 at
+// canonicalisation, so corruption is at worst omission to a guarded
+// machine). Partition plans are correlated omission over a cut link set,
+// so they ride the same fates.
 // Second, a liveness mask gating activation: a crashed node's firings
 // drain its frontier and emit m0 — like a halted node, so neighbours are
 // not wedged — but never step δ; a recovery lifts the mask, either
 // resuming the frozen state or resetting it through machine.Reboot.
 // Third, sender-side retransmissions (fault.Decision.Resend): the
-// coordinator pushes a link's steady message into its flight queue behind
+// coordinator pushes a link's steady message onto its queue behind
 // whatever is in flight, so a recovering node re-receives its frontier —
 // for the fixpoint argument the extra copy is a no-op re-send, and for
 // the Kahn discipline it is indistinguishable from a duplication. The
@@ -89,75 +92,55 @@ func asyncFixpointInterval(n int) int {
 	return 64
 }
 
-// msgQueue is a FIFO of delivered messages with an amortised O(1) pop.
-type msgQueue struct {
-	buf  []machine.Message
-	head int
+// linkQueue is the FIFO of one directed link. buf[head:dlv] is the mail
+// (delivered, consumed one entry per firing at head) and buf[dlv:] is in
+// flight (sent, undelivered), oldest first. Delivery moves the cursor dlv:
+// a message keeps its slot from send to consumption, and a fate rewrites
+// it where it sits.
+type linkQueue struct {
+	buf       []FlightMessage
+	head, dlv int
 }
 
-func (q *msgQueue) push(m machine.Message) { q.buf = append(q.buf, m) }
+// mail is the number of delivered, unconsumed messages.
+func (q *linkQueue) mail() int { return q.dlv - q.head }
 
-func (q *msgQueue) pop() machine.Message {
-	m := q.buf[q.head]
-	q.buf[q.head] = machine.NoMessage // release the string
+// inFlight is the number of sent, undelivered messages.
+func (q *linkQueue) inFlight() int { return len(q.buf) - q.dlv }
+
+// push appends a sent message. A full buffer whose consumed prefix is at
+// least a quarter of it slides its live entries down instead of growing: a
+// link whose mail never fully drains would otherwise keep every consumed
+// slot. Sliding only when a quarter is consumed keeps push amortised O(1),
+// and a buffer grows only when over three quarters of it is live, so its
+// capacity stays within about three times the link's peak live depth.
+func (q *linkQueue) push(m machine.Message, born int) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 4*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:]) // release the strings
+		q.buf, q.dlv, q.head = q.buf[:n], q.dlv-q.head, 0
+	}
+	q.buf = append(q.buf, FlightMessage{Msg: m, Born: born})
+}
+
+// pop consumes the oldest delivered message.
+func (q *linkQueue) pop() machine.Message {
+	m := q.buf[q.head].Msg
+	q.buf[q.head] = FlightMessage{} // release the string
 	q.head++
 	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
+		q.buf, q.head, q.dlv = q.buf[:0], 0, 0
 	}
 	return m
 }
 
-func (q *msgQueue) len() int { return len(q.buf) - q.head }
-
-// pushFated enqueues one delivered message according to its fate — the
-// single source of truth for fault application, shared by the inline
-// filter of the single-shard delivery pass and the pre-drawn fates of the
-// sharded one: a drop enqueues m0 in the message's place (the delivery
-// slot survives, the content does not), a dup enqueues two copies. A
-// corruption enqueues msg unchanged: whoever drew the fate already
-// substituted the corruptor's rewrite for the genuine payload.
-func (q *msgQueue) pushFated(msg machine.Message, f fault.Fate) {
-	switch f {
-	case fault.FateDrop:
-		q.push(machine.NoMessage)
-	case fault.FateDup:
-		q.push(msg)
-		q.push(msg)
-	default: // FateDeliver, or FateCorrupt with the payload rewritten
-		q.push(msg)
-	}
+// dup delivers the message at the cursor twice: a copy joins it behind the
+// cursor, and the cursor passes the original.
+func (q *linkQueue) dup() {
+	q.push(machine.NoMessage, 0)
+	copy(q.buf[q.dlv+1:], q.buf[q.dlv:])
+	q.dlv++
 }
-
-// flightMsg is a sent, undelivered message stamped with its send step. born
-// shares the step budget's type: the dilation-scaled default budget (and
-// any explicit MaxRounds) is an int, and a narrower stamp would silently
-// wrap the schedules' age accounting (View.OldestBorn) on large sweeps.
-type flightMsg struct {
-	msg  machine.Message
-	born int
-}
-
-// flightQueue is a FIFO of in-flight messages.
-type flightQueue struct {
-	buf  []flightMsg
-	head int
-}
-
-func (q *flightQueue) push(m machine.Message, born int) {
-	q.buf = append(q.buf, flightMsg{msg: m, born: born})
-}
-
-func (q *flightQueue) pop() flightMsg {
-	m := q.buf[q.head]
-	q.buf[q.head] = flightMsg{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return m
-}
-
-func (q *flightQueue) len() int { return len(q.buf) - q.head }
 
 // asyncState is the execution state of one asynchronous run.
 type asyncState struct {
@@ -174,10 +157,9 @@ type asyncState struct {
 	halted  []bool
 	outputs []machine.Output
 
-	mail   []msgQueue    // per link: delivered, consumable
-	flight []flightQueue // per link: sent, undelivered
-	ready  []int32       // per node: in-ports with non-empty mail
-	fires  []int64       // per node: completed firings
+	queues []linkQueue // per link: mail, then messages in flight
+	ready  []int32     // per node: in-ports with non-empty mail
+	fires  []int64     // per node: completed firings
 
 	// Fault state, allocated only when a plan runs (plan != nil): the
 	// liveness mask, the initial states recoveries reset to, and the
@@ -231,21 +213,19 @@ func newAsyncState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Op
 		states:    make([]machine.State, n),
 		halted:    make([]bool, n),
 		outputs:   make([]machine.Output, n),
-		mail:      make([]msgQueue, links),
-		flight:    make([]flightQueue, links),
+		queues:    make([]linkQueue, links),
 		ready:     make([]int32, n),
 		fires:     make([]int64, n),
 		jr:        newJournal(opts.Obs),
 	}
-	// Seed every queue with a capacity-1 slice carved out of one flat
-	// backing array: schedules that keep queues at depth ≤ 1 (Synchronous,
-	// RoundRobin, anything delivering promptly) then run entirely
+	// Seed every queue with a capacity-2 slice carved out of one flat
+	// backing array: one delivered message and one newly sent behind it —
+	// a node's emission can land behind a neighbour's unconsumed mail — so
+	// schedules that deliver promptly (Synchronous, RoundRobin) run
 	// allocation-free; deeper queues grow their own buffers on demand.
-	mailBacking := make([]machine.Message, links)
-	flightBacking := make([]flightMsg, links)
-	for l := 0; l < links; l++ {
-		as.mail[l].buf = mailBacking[l : l : l+1]
-		as.flight[l].buf = flightBacking[l : l : l+1]
+	backing := make([]FlightMessage, 2*links)
+	for l := range as.queues {
+		as.queues[l].buf = backing[2*l : 2*l : 2*l+2]
 	}
 	active := n
 	for v := 0; v < n; v++ {
@@ -319,100 +299,57 @@ func (as *asyncState) broadcastMessage(v int, silent bool) machine.Message {
 	return as.m.Send(as.states[v], 1)
 }
 
-// emit sends node v's current outgoing messages into the flight queues,
+// emit sends node v's current outgoing messages onto its out-links,
 // stamped with the given step.
 func (as *asyncState) emit(v, step int) {
 	lo, hi := as.off[v], as.off[v+1]
 	silent := as.silent(v)
 	bmsg := as.broadcastMessage(v, silent)
 	for s := lo; s < hi; s++ {
-		as.flight[as.dest[s]].push(as.portMessage(v, s, lo, silent, bmsg), step)
+		as.queues[as.dest[s]].push(as.portMessage(v, s, lo, silent, bmsg), step)
 	}
 }
 
-// deliver moves up to k oldest in-flight messages on link l into its mail
-// queue, maintaining the frontier-readiness count of the receiving node.
-func (as *asyncState) deliver(l int32, k int) {
-	fq := &as.flight[l]
-	if avail := fq.len(); k > avail {
-		k = avail
-	}
+// deliver delivers up to k of the oldest in-flight messages on link l at
+// step t, maintaining the frontier-readiness count of the receiving node.
+// It is the one place fault fates are applied: under a plan, each message
+// is given its fate where it sits — a drop writes m0 (the delivery slot
+// survives, the content does not), a corruption writes the Corrupter's
+// rewrite of the genuine payload, a dup inserts a copy at the cursor — and
+// counted in res. A plan's Filter and Corrupt streams must be drawn in
+// global (link, queue-position) order, so the driver calls deliver from
+// one pass over the links in id order (asyncDriver.deliverLinks).
+func (as *asyncState) deliver(l int32, k, t int, res *Result) {
+	q := &as.queues[l]
+	k = min(k, q.inFlight())
 	if k <= 0 {
 		return
 	}
-	mq := &as.mail[l]
-	if mq.len() == 0 {
+	if q.mail() == 0 {
 		as.ready[as.node[l]]++
 	}
-	for i := 0; i < k; i++ {
-		mq.push(fq.pop().msg)
-	}
-}
-
-// deliverFiltered is deliver with the fault plan's delivery filter in the
-// loop: each delivered message is assigned a fate — delivered unchanged,
-// dropped (m0 takes its place in the mail queue, so the frontier count
-// still advances and the receiver observes silence) or duplicated (two
-// copies join the queue). Only called by a single shard walking every
-// link in global order, so the plan's random stream is drawn exactly as
-// planFates pre-draws it for sharded runs; fault-free runs keep the
-// branch-free deliver.
-func (as *asyncState) deliverFiltered(l int32, k, t int, res *Result) {
-	fq := &as.flight[l]
-	if avail := fq.len(); k > avail {
-		k = avail
-	}
-	if k <= 0 {
+	if as.plan == nil {
+		q.dlv += k
 		return
 	}
-	mq := &as.mail[l]
-	if mq.len() == 0 {
-		as.ready[as.node[l]]++
-	}
 	for i := 0; i < k; i++ {
-		msg := fq.pop().msg
 		f := as.plan.Filter(t, int(l))
 		switch f {
 		case fault.FateDrop:
 			res.Drops++
+			q.buf[q.dlv].Msg = machine.NoMessage
 		case fault.FateDup:
 			res.Dups++
+			q.dup()
 		case fault.FateCorrupt:
 			res.Corruptions++
-			msg = as.corrupt.Corrupt(t, int(l), msg)
+			q.buf[q.dlv].Msg = as.corrupt.Corrupt(t, int(l), q.buf[q.dlv].Msg)
 		}
+		q.dlv++
 		if as.jr != nil && f != fault.FateDeliver {
-			// A single shard owns every link here, so this emission order is
-			// the global (link, queue-position) order — the same order
-			// planFates journals the pre-drawn fates in for sharded runs.
 			as.jr.coordEvent(obs.Event{
 				Step: int64(t), Kind: fateKind(f), Node: -1, Link: l, Arg: int64(i)})
 		}
-		mq.pushFated(msg, f)
-	}
-}
-
-// deliverFated is deliverFiltered with the per-message fates already drawn:
-// the coordinator of a sharded run consumes the plan's random stream in
-// global (link, queue-position) order — the exact order a single shard
-// draws it in — and hands each worker the resulting fate slices, so
-// delivery itself never touches the plan. crpt, parallel to fates, holds
-// the pre-drawn corruption rewrites (meaningful only at FateCorrupt
-// entries; nil when the plan cannot corrupt). Callers guarantee
-// 0 < len(fates) ≤ the link's in-flight count; Drops/Dups/Corruptions
-// were counted by whoever drew the fates.
-func (as *asyncState) deliverFated(l int32, fates []fault.Fate, crpt []machine.Message) {
-	fq := &as.flight[l]
-	mq := &as.mail[l]
-	if mq.len() == 0 {
-		as.ready[as.node[l]]++
-	}
-	for i, f := range fates {
-		msg := fq.pop().msg
-		if f == fault.FateCorrupt {
-			msg = crpt[i]
-		}
-		mq.pushFated(msg, f)
 	}
 }
 
@@ -431,9 +368,9 @@ func (as *asyncState) consume(v int, st *stepStats, bufs *asyncBufs) {
 	deg := int(hi - lo)
 	inbox := bufs.inbox[:deg]
 	for i := 0; i < deg; i++ {
-		q := &as.mail[lo+int32(i)]
+		q := &as.queues[lo+int32(i)]
 		msg := q.pop()
-		if q.len() == 0 {
+		if q.mail() == 0 {
 			as.ready[v]--
 		}
 		st.bytes += int64(len(msg))
@@ -490,18 +427,13 @@ func (as *asyncState) steadyMessage(l int32) machine.Message {
 func (as *asyncState) nodeAtFixpoint(v int, bufs *asyncBufs) bool {
 	lo, hi := as.off[v], as.off[v+1]
 	for l := lo; l < hi; l++ {
-		mq, fq := &as.mail[l], &as.flight[l]
-		if mq.len() == 0 && fq.len() == 0 {
+		q := &as.queues[l]
+		if q.head == len(q.buf) {
 			continue
 		}
 		want := as.steadyMessage(l)
-		for i := mq.head; i < len(mq.buf); i++ {
-			if mq.buf[i] != want {
-				return false
-			}
-		}
-		for i := fq.head; i < len(fq.buf); i++ {
-			if fq.buf[i].msg != want {
+		for _, fm := range q.buf[q.head:] {
+			if fm.Msg != want {
 				return false
 			}
 		}
@@ -525,18 +457,18 @@ func (as *asyncState) nodeAtFixpoint(v int, bufs *asyncBufs) bool {
 type asyncView struct{ as *asyncState }
 
 func (w asyncView) Nodes() int        { return len(w.as.states) }
-func (w asyncView) Links() int        { return len(w.as.mail) }
+func (w asyncView) Links() int        { return len(w.as.queues) }
 func (w asyncView) Fires(v int) int64 { return w.as.fires[v] }
 func (w asyncView) Halted(v int) bool { return w.as.halted[v] }
 func (w asyncView) InFlight(l int) int {
-	return w.as.flight[l].len()
+	return w.as.queues[l].inFlight()
 }
 func (w asyncView) OldestBorn(l int) int {
-	q := &w.as.flight[l]
-	if q.len() == 0 {
+	q := &w.as.queues[l]
+	if q.inFlight() == 0 {
 		return -1
 	}
-	return q.buf[q.head].born
+	return q.buf[q.dlv].Born
 }
 func (w asyncView) Alive(v int) bool { return !w.as.dead(v) }
 
@@ -544,7 +476,7 @@ func (w asyncView) Alive(v int) bool { return !w.as.dead(v) }
 type asyncTopology struct{ as *asyncState }
 
 func (t asyncTopology) Nodes() int        { return len(t.as.states) }
-func (t asyncTopology) Links() int        { return len(t.as.mail) }
+func (t asyncTopology) Links() int        { return len(t.as.queues) }
 func (t asyncTopology) Degree(v int) int  { return t.as.g.Degree(v) }
 func (t asyncTopology) LinkSrc(l int) int { return int(t.as.node[t.as.src[l]]) }
 func (t asyncTopology) LinkDst(l int) int { return int(t.as.node[l]) }
@@ -600,15 +532,13 @@ func (as *asyncState) applyFaults(t int, view asyncView, res *Result) (activeDel
 	}
 	// Sender-side retransmissions: push the source's current steady message
 	// onto each requested link, stamped with this step, behind whatever is
-	// already in flight. This runs on the coordinator over quiescent state
-	// (before the step's deliveries), in ascending link order, and both the
-	// single-shard and pre-draw delivery paths compute their per-link
-	// delivery counts after it — so the shard count stays invisible. A dead
-	// or halted source retransmits m0; for the fixpoint argument the extra
-	// copy is exactly a no-op re-send.
+	// already in flight. This runs on the coordinator over quiescent state,
+	// in ascending link order, before the step's fate pass — so the shard
+	// count stays invisible. A dead or halted source retransmits m0; for the
+	// fixpoint argument the extra copy is exactly a no-op re-send.
 	for l, resend := range as.fdec.Resend {
 		if resend {
-			as.flight[l].push(as.steadyMessage(int32(l)), t)
+			as.queues[l].push(as.steadyMessage(int32(l)), t)
 			res.Retransmits++
 			if as.jr != nil {
 				as.jr.coordEvent(obs.Event{

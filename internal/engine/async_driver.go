@@ -3,12 +3,12 @@ package engine
 // async_driver.go is the one driver of the asynchronous semantics: the
 // Kahn-frontier core of async.go run over the shard runtime. The runtime
 // hands each shard its slice of the BFS locality order; the shard owns
-// those nodes outright — the mail and flight queues of their in-ports,
-// their ready counters, states, halt flags and fire counts are touched by
-// no other goroutine. One shard (inline, no goroutines — the default
-// below asyncAutoShardMinNodes) and W spawned shards are the same code
-// path and bit-identical (TestAsyncShardedEquivalence pins every Result
-// field, under -race).
+// those nodes outright — the queues of their in-ports, their ready
+// counters, states, halt flags and fire counts are touched by no other
+// goroutine during a phase. One shard (inline, no goroutines — the
+// default below asyncAutoShardMinNodes) and W spawned shards are the same
+// code path and bit-identical (TestAsyncShardedEquivalence pins every
+// Result field, under -race).
 //
 // The schedule and the fault plan stay the single source of
 // nondeterminism, which is what makes the shard count invisible:
@@ -16,20 +16,18 @@ package engine
 //   - Schedule and plan callbacks run on the coordinator between
 //     barriers, over quiescent state.
 //   - The plan's per-delivery random stream must be drawn in global
-//     (link, queue-position) order. A single shard owns every link and
-//     walks them in exactly that order, so it draws the stream inline
-//     (deliverFiltered); with several shards the coordinator pre-draws
-//     this step's fates (planFates) in the same order and workers only
-//     apply them (deliverFated).
+//     (link, queue-position) order. The coordinator delivers each step's
+//     messages in one pass over the links in id order (deliverLinks)
+//     before the step phase, so every fate is drawn and applied in
+//     exactly that order whatever the shard count; the workers only fire.
 //   - Within one step, deliveries happen before firings, and a message
 //     emitted at step t is not deliverable before step t+1 — so workers
 //     never observe each other's mid-step writes. Same-shard emissions go
-//     straight into the owned flight queues; cross-shard emissions are
-//     parked in per-(sender, receiver) staging rings and pushed by the
-//     receiving shard at the merge barrier. A node fires at most once per
-//     step and each out-port emits once per firing, so every flight queue
-//     gains at most one message per step and the merge order cannot
-//     reorder any queue.
+//     straight onto the owned queues; cross-shard emissions are parked in
+//     per-(sender, receiver) staging rings and pushed by the receiving
+//     shard at the merge barrier. A node fires at most once per step and
+//     each out-port emits once per firing, so every queue gains at most
+//     one message per step and the merge order cannot reorder any queue.
 //   - Per-shard byte/halt counters are folded by the runtime at the
 //     barrier; the fixpoint probe (settlement-gated exactly as in the
 //     single-shard form) fans out per shard, each worker checking its own
@@ -42,6 +40,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"weakmodels/internal/fault"
 	"weakmodels/internal/graph"
@@ -77,12 +76,11 @@ type asyncShard struct {
 
 // Phases of the async driver.
 const (
-	// asyncPhaseStep delivers the scheduled messages on the shard's links,
-	// then fires the shard's activated full-frontier nodes, staging
-	// cross-shard emissions.
+	// asyncPhaseStep fires the shard's activated full-frontier nodes,
+	// staging cross-shard emissions.
 	asyncPhaseStep runtimePhase = iota
 	// asyncPhaseMerge pushes the emissions other shards staged for this
-	// one into the owned flight queues.
+	// one onto the owned queues.
 	asyncPhaseMerge
 	// asyncPhaseProbe evaluates the fixpoint condition over the shard.
 	asyncPhaseProbe
@@ -102,14 +100,6 @@ type asyncDriver struct {
 	linkOwner []int32
 	t         int // step being executed
 
-	// This step's pre-drawn delivery fates (multi-shard plan runs only):
-	// link l's deliveries take fates[fateOff[l]:fateOff[l+1]]. crpt, kept
-	// parallel to fates when the plan can corrupt (nil otherwise), holds
-	// the pre-drawn corruption rewrites at FateCorrupt positions.
-	fates   []fault.Fate
-	fateOff []int
-	crpt    []machine.Message
-
 	rt shardRuntime
 }
 
@@ -125,59 +115,27 @@ func (d *asyncDriver) runPhase(w int, ph runtimePhase) {
 	}
 }
 
-// planFates draws this step's delivery fates from the plan in global
-// (link, queue-position) order — the exact order a single shard consumes
-// the plan's random stream in — so the workers can apply them shard-
-// locally without touching the plan. Drops/Dups/Corruptions are counted
-// here, in the same order, for the same reason; and because the
-// Corrupter's stream must interleave with Filter's exactly as in the
-// inline path, each corruption's rewrite is drawn immediately, peeking
-// the pending payload at its queue position (deliveries pop in FIFO
-// order, so the i-th delivery on link l is flight[l].buf[head+i]).
-func (d *asyncDriver) planFates(t int, res *Result) {
-	as, dec := d.as, d.dec
-	d.fates = d.fates[:0]
-	d.crpt = d.crpt[:0]
-	for l := range as.mail {
-		d.fateOff[l] = len(d.fates)
-		k := int(dec.Deliver[l])
-		if dec.DeliverAll || k > as.flight[l].len() {
-			k = as.flight[l].len()
-		}
-		for i := 0; i < k; i++ {
-			f := as.plan.Filter(t, l)
-			switch f {
-			case fault.FateDrop:
-				res.Drops++
-			case fault.FateDup:
-				res.Dups++
-			case fault.FateCorrupt:
-				res.Corruptions++
-			}
-			if as.jr != nil && f != fault.FateDeliver {
-				// Journaled here — not in deliverFated — because this is where
-				// the global (link, queue-position) order lives; the emission
-				// matches deliverFiltered's byte for byte.
-				as.jr.coordEvent(obs.Event{
-					Step: int64(t), Kind: fateKind(f), Node: -1, Link: int32(l), Arg: int64(i)})
-			}
-			d.fates = append(d.fates, f)
-			if as.corrupt != nil {
-				var c machine.Message
-				if f == fault.FateCorrupt {
-					fq := &as.flight[l]
-					c = as.corrupt.Corrupt(t, l, fq.buf[fq.head+i].msg)
-				}
-				d.crpt = append(d.crpt, c)
-			}
-		}
+// quota is the number of in-flight messages the schedule delivers on
+// link l this step; deliver clamps it to what is in flight.
+func (d *asyncDriver) quota(l int32) int {
+	if d.dec.DeliverAll {
+		return math.MaxInt
 	}
-	d.fateOff[len(as.mail)] = len(d.fates)
+	return int(d.dec.Deliver[l])
 }
 
-// stepShard runs one step's delivery and firing pass over shard w. Links
-// owned by the shard are exactly the in-ports of its nodes, so both
-// passes touch only owned queues; emissions to other shards are staged.
+// deliverLinks is the fate pass: this step's deliveries on every link, in
+// link id order — the global (link, queue-position) order the plan's fate
+// stream is drawn in, whatever the shard count. Coordinator only.
+func (d *asyncDriver) deliverLinks() {
+	for l := range d.as.queues {
+		d.as.deliver(int32(l), d.quota(int32(l)), d.t, d.res)
+	}
+}
+
+// stepShard runs one step's firing pass over shard w. Links owned by the
+// shard are exactly the in-ports of its nodes, so firings pop only owned
+// queues; emissions to other shards are staged.
 func (d *asyncDriver) stepShard(w int) {
 	as, dec := d.as, d.dec
 	sh := &d.shards[w]
@@ -185,25 +143,9 @@ func (d *asyncDriver) stepShard(w int) {
 	st.step, st.bytes, st.newHalts = d.t, 0, 0
 	sh.staged = false
 	if d.linkOwner == nil {
-		// A single shard owns everything: walk links and nodes in id order —
-		// sequential memory over the queue and state arrays, and for plan
-		// runs the exact order the fault stream must be drawn in, so the
-		// filter runs inline. (Iteration order never affects the outcome;
-		// it is pure memory-walk.)
-		for l := 0; l < len(as.mail); l++ {
-			k := int(dec.Deliver[l])
-			if dec.DeliverAll {
-				k = as.flight[l].len()
-			}
-			if k <= 0 {
-				continue
-			}
-			if as.plan != nil {
-				as.deliverFiltered(int32(l), k, d.t, d.res)
-			} else {
-				as.deliver(int32(l), k)
-			}
-		}
+		// A single shard owns everything: fire in id order — sequential
+		// memory over the queue and state arrays. (Iteration order never
+		// affects the outcome; it is pure memory-walk.)
 		for v := 0; v < len(as.states); v++ {
 			if (dec.ActivateAll || dec.Activate[v]) && as.canFire(v) {
 				as.consume(v, st, &sh.bufs)
@@ -211,24 +153,6 @@ func (d *asyncDriver) stepShard(w int) {
 			}
 		}
 		return
-	}
-	for _, v32 := range d.rt.nodes(w) {
-		v := int(v32)
-		for l := as.off[v]; l < as.off[v+1]; l++ {
-			if d.fateOff != nil {
-				if fates := d.fates[d.fateOff[l]:d.fateOff[l+1]]; len(fates) > 0 {
-					var crpt []machine.Message
-					if as.corrupt != nil {
-						crpt = d.crpt[d.fateOff[l]:d.fateOff[l+1]]
-					}
-					as.deliverFated(l, fates, crpt)
-				}
-			} else if dec.DeliverAll {
-				as.deliver(l, as.flight[l].len())
-			} else if k := dec.Deliver[l]; k > 0 {
-				as.deliver(l, int(k))
-			}
-		}
 	}
 	for _, v32 := range d.rt.nodes(w) {
 		v := int(v32)
@@ -252,7 +176,7 @@ func (d *asyncDriver) emit(w int, sh *asyncShard, v, step int) {
 		msg := as.portMessage(v, s, lo, silent, bmsg)
 		dl := as.dest[s]
 		if o := d.linkOwner[dl]; o == int32(w) {
-			as.flight[dl].push(msg, step)
+			as.queues[dl].push(msg, step)
 		} else {
 			sh.out[o] = append(sh.out[o], stagedMsg{link: dl, born: step, msg: msg})
 			sh.staged = true
@@ -261,13 +185,13 @@ func (d *asyncDriver) emit(w int, sh *asyncShard, v, step int) {
 }
 
 // mergeShard ingests the emissions every other shard staged for shard w,
-// in sender order. Each flight queue gains at most one message per step,
-// so the sender order cannot reorder any single queue.
+// in sender order. Each queue gains at most one message per step, so the
+// sender order cannot reorder any single queue.
 func (d *asyncDriver) mergeShard(w int) {
 	for s := range d.shards {
 		in := d.shards[s].out[w]
 		for i := range in {
-			d.as.flight[in[i].link].push(in[i].msg, in[i].born)
+			d.as.queues[in[i].link].push(in[i].msg, in[i].born)
 			in[i] = stagedMsg{} // release the string
 		}
 		d.shards[s].out[w] = in[:0]
@@ -324,7 +248,7 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 			met.finish(res)
 		}
 	}()
-	links := len(as.mail)
+	links := len(as.queues)
 	res = &Result{Fires: as.fires, States: as.states, Alive: as.alive}
 	if opts.Resume != nil {
 		// Restored before the trace below records its first entry, so a
@@ -361,9 +285,6 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 		d.linkOwner = make([]int32, links)
 		for l := range d.linkOwner {
 			d.linkOwner[l] = owner[as.node[l]]
-		}
-		if as.plan != nil {
-			d.fateOff = make([]int, links+1)
 		}
 	}
 
@@ -408,8 +329,8 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 	} else {
 		// Step 0: every node emits μ(x_0) (halted nodes m0) into the
 		// network — on the coordinator, before any worker exists. A resumed
-		// run skips it: the snapshot's flight queues already hold whatever
-		// was in the network.
+		// run skips it: the snapshot's queues already hold whatever was in
+		// the network.
 		for v := 0; v < n; v++ {
 			as.emit(v, 0)
 		}
@@ -445,15 +366,13 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 					healedSeen = h
 				}
 			}
-			if d.fateOff != nil {
-				d.planFates(t, res)
-			}
 		}
 		d.t = t
 
 		if met != nil {
 			met.roundStart()
 		}
+		d.deliverLinks()
 		d.rt.run(asyncPhaseStep)
 		if met != nil {
 			met.shardPhase(d.rt.stats, met.shardStepUs)

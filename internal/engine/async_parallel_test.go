@@ -39,7 +39,7 @@ func TestAsyncShardedEquivalence(t *testing.T) {
 		"drop:0.3,31,60+dup:0.2,32,60+crash:1,33,60",
 		"adversary:2,9,60",
 		// Hostile links: the corrupter's stream must interleave with the
-		// filter's identically in the inline and pre-draw paths, partition
+		// filter's identically at every shard count, partition
 		// cuts are correlated per-link state, and retransmissions are
 		// coordinator-side queue pushes — all three must be invisible to
 		// the shard count.

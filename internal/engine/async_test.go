@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"weakmodels/internal/algorithms"
+	"weakmodels/internal/fault"
 	"weakmodels/internal/graph"
 	"weakmodels/internal/machine"
 	"weakmodels/internal/port"
@@ -330,5 +331,64 @@ func TestAsyncNoHalt(t *testing.T) {
 	_, err := Run(spinner, port.Canonical(graph.Cycle(3)), Options{MaxRounds: 500, Executor: ExecutorAsync})
 	if !errors.Is(err, ErrNoHalt) {
 		t.Errorf("err = %v, want ErrNoHalt", err)
+	}
+}
+
+// dupEvery is a fault plan that duplicates every n-th delivery and
+// delivers the rest unchanged.
+type dupEvery struct{ n, calls int }
+
+func (p *dupEvery) Name() string                          { return "dup-every" }
+func (p *dupEvery) Begin(fault.Topology)                  {}
+func (p *dupEvery) Step(int, fault.View, *fault.Decision) {}
+func (p *dupEvery) Settled() bool                         { return false }
+func (p *dupEvery) Filter(int, int) fault.Fate {
+	p.calls++
+	if p.calls%p.n == 0 {
+		return fault.FateDup
+	}
+	return fault.FateDeliver
+}
+
+// TestLinkQueueStaysBounded drives one link's queue through 10⁵
+// push/deliver/pop cycles that never empty it — its live depth alternates
+// between 1 and 2 — and requires the buffer's capacity to stay within a
+// small multiple of the peak live depth. With a dup on every 20th
+// delivery the mail never drains and the live depth climbs to ~5,000; the
+// bound must hold there too. A queue that only reclaims its consumed
+// prefix when it empties grows to one slot per message ever sent.
+func TestLinkQueueStaysBounded(t *testing.T) {
+	const cycles = 100_000
+	for _, tc := range []struct {
+		name string
+		plan fault.Plan
+	}{{"no plan", nil}, {"dup every 20th", &dupEvery{n: 20}}} {
+		as := &asyncState{
+			queues: make([]linkQueue, 1),
+			ready:  make([]int32, 1),
+			node:   make([]int32, 1),
+			plan:   tc.plan,
+		}
+		q := &as.queues[0]
+		q.buf = make([]FlightMessage, 0, 2)
+		var res Result
+		q.push("m", 0)
+		peak := 0
+		for step := 1; step <= cycles; step++ {
+			q.push("m", step)
+			as.deliver(0, 1, step, &res)
+			peak = max(peak, len(q.buf)-q.head)
+			q.pop()
+			if q.mail() == 0 && q.inFlight() == 0 {
+				t.Fatalf("%s: queue emptied at step %d", tc.name, step)
+			}
+			if c := cap(q.buf); c > 4*peak {
+				t.Fatalf("%s: cap %d after %d cycles, peak live depth %d", tc.name, c, step, peak)
+			}
+		}
+		if tc.plan != nil && res.Dups != cycles/20 {
+			t.Fatalf("%s: dups = %d, want %d", tc.name, res.Dups, cycles/20)
+		}
+		t.Logf("%s: peak live depth %d, final cap %d", tc.name, peak, cap(q.buf))
 	}
 }

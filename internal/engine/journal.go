@@ -7,9 +7,9 @@ package engine
 //
 // The ordering discipline mirrors the fault plan's: everything that must
 // be globally ordered already happens on the coordinator (crash/recovery/
-// retransmission decisions, delivery fates — drawn in global (link,
-// queue-position) order whether inline on a single shard or pre-drawn for
-// many), so those events go straight into the coordinator's step buffer
+// retransmission decisions, and delivery fates — applied by one pass over
+// the links in global (link, queue-position) order, whatever the shard
+// count), so those events go straight into the coordinator's step buffer
 // in emission order. Only fire/halt events are produced inside shard
 // phases; each shard appends them to its own stepStats buffer (the same
 // fold discipline as the byte/halt counters), and the coordinator merges
@@ -80,7 +80,9 @@ const (
 	// phase, one sample per shard per round/step; MetricShardMergeUs the
 	// same for the async cross-shard merge phase (sampled only on steps
 	// that staged cross-shard traffic). Their spread is the load-imbalance
-	// signal: a healthy sharding keeps all shards' samples close.
+	// signal: a healthy sharding keeps all shards' samples close. The async
+	// compute phase is firing only: delivery runs on the coordinator before
+	// the phase, outside these samples but inside MetricRoundUs.
 	MetricShardStepUs  = "weak_engine_shard_step_us"
 	MetricShardMergeUs = "weak_engine_shard_merge_us"
 )

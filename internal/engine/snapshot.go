@@ -10,16 +10,18 @@ package engine
 // bench harness builds restartable n≈10⁶ sweeps on it.
 //
 // What is captured: states, halt flags, outputs, the async fire counts
-// and liveness mask, every per-link mail and flight queue (async) or the
-// current arena half plus its pending byte count (sync), the Result
-// counters accumulated so far, and — via schedule.Resumable — the opaque
-// mid-run state blobs of the schedule and fault generators (RNG cursors,
-// pending retransmit bursts, displaced byzantine payloads). What is
+// and liveness mask, every per-link queue cut at its delivery cursor into
+// mail and messages in flight (async) or the current arena half plus its
+// pending byte count (sync), the Result counters accumulated so far, and
+// — via schedule.Resumable — the opaque mid-run state blobs of the
+// schedule and fault generators (RNG cursors, pending retransmit bursts,
+// displaced byzantine payloads). What is
 // deliberately not captured: anything Begin reconstructs from the spec
 // (crash event tables, partition cuts), the sync haltAge counters (reset
 // to 0 on restore, provably unobservable: a halted node's extra send
-// passes rewrite m0 into slots that read m0 either way), and the derived
-// ready counters (recomputed from the mail queues).
+// passes rewrite m0 into slots that read m0 either way), the derived
+// ready counters (recomputed from the mail), and the send steps of
+// delivered mail (only in-flight messages are ever aged).
 //
 // The binary form (MarshalBinary/UnmarshalSnapshot) is versioned and
 // streams node states through encoding/gob. That puts one honest
@@ -44,8 +46,11 @@ import (
 // snapshotVersion is the binary format version of MarshalBinary.
 const snapshotVersion = 1
 
-// FlightMessage is one sent, undelivered message in a Snapshot: the
-// payload and the step it was sent at (schedules age messages by it).
+// FlightMessage is one queued message: the payload and the step it was
+// sent at (schedules age in-flight messages by it). Born shares the step
+// budget's type: the dilation-scaled default budget (and any explicit
+// MaxRounds) is an int, and a narrower stamp would silently wrap the
+// schedules' age accounting (View.OldestBorn) on large sweeps.
 type FlightMessage struct {
 	Msg  machine.Message
 	Born int
@@ -70,7 +75,9 @@ type Snapshot struct {
 	Outputs []machine.Output
 
 	// Async executor state: fire counts, the liveness mask (nil when no
-	// fault plan ran) and the per-link delivered/in-flight queues.
+	// fault plan ran) and each link's queue, cut at its delivery cursor:
+	// Mail[l] is the delivered, unconsumed part and Flight[l] the part
+	// still in flight, both oldest first.
 	Fires  []int64
 	Alive  []bool
 	Mail   [][]machine.Message
@@ -143,7 +150,7 @@ func restoreGenState(gen any, blob []byte, what string) error {
 // capture snapshots an async run at the end of step t. healed is the
 // healer's cumulative count (0 without one); res holds the counters.
 func (as *asyncState) capture(t int, res *Result, healed int64, sched schedule.Schedule) *Snapshot {
-	links := len(as.mail)
+	links := len(as.queues)
 	snap := &Snapshot{
 		Step:         t,
 		States:       append([]machine.State(nil), as.states...),
@@ -168,16 +175,16 @@ func (as *asyncState) capture(t int, res *Result, healed int64, sched schedule.S
 	if as.plan != nil {
 		snap.PlanState = genState(as.plan)
 	}
-	for l := 0; l < links; l++ {
-		if mq := &as.mail[l]; mq.len() > 0 {
-			snap.Mail[l] = append([]machine.Message(nil), mq.buf[mq.head:]...)
-		}
-		if fq := &as.flight[l]; fq.len() > 0 {
-			fs := make([]FlightMessage, 0, fq.len())
-			for i := fq.head; i < len(fq.buf); i++ {
-				fs = append(fs, FlightMessage{Msg: fq.buf[i].msg, Born: fq.buf[i].born})
+	for l := range as.queues {
+		q := &as.queues[l]
+		if n := q.mail(); n > 0 {
+			snap.Mail[l] = make([]machine.Message, n)
+			for i, fm := range q.buf[q.head:q.dlv] {
+				snap.Mail[l][i] = fm.Msg
 			}
-			snap.Flight[l] = fs
+		}
+		if q.inFlight() > 0 {
+			snap.Flight[l] = append([]FlightMessage(nil), q.buf[q.dlv:]...)
 		}
 	}
 	return snap
@@ -187,7 +194,7 @@ func (as *asyncState) capture(t int, res *Result, healed int64, sched schedule.S
 // returns the active (non-halted) node count. Queue contents are copied —
 // never aliased — so the snapshot survives to seed further runs.
 func (as *asyncState) restore(snap *Snapshot, res *Result) (int, error) {
-	n, links := len(as.states), len(as.mail)
+	n, links := len(as.states), len(as.queues)
 	if snap.Sync {
 		return 0, fmt.Errorf("engine: cannot resume the async executor from a synchronous snapshot")
 	}
@@ -211,15 +218,14 @@ func (as *asyncState) restore(snap *Snapshot, res *Result) (int, error) {
 		copy(as.alive, snap.Alive)
 	}
 	clear(as.ready)
-	for l := 0; l < links; l++ {
-		mq := &as.mail[l]
-		mq.buf, mq.head = append(mq.buf[:0], snap.Mail[l]...), 0
-		fq := &as.flight[l]
-		fq.buf, fq.head = fq.buf[:0], 0
-		for _, fm := range snap.Flight[l] {
-			fq.buf = append(fq.buf, flightMsg{msg: fm.Msg, born: fm.Born})
+	for l := range as.queues {
+		q := &as.queues[l]
+		q.buf, q.head, q.dlv = q.buf[:0], 0, len(snap.Mail[l])
+		for _, m := range snap.Mail[l] {
+			q.buf = append(q.buf, FlightMessage{Msg: m})
 		}
-		if mq.len() > 0 {
+		q.buf = append(q.buf, snap.Flight[l]...)
+		if q.mail() > 0 {
 			as.ready[as.node[l]]++
 		}
 	}

@@ -133,7 +133,7 @@ type Decision struct {
 	Recover []RecoverKind
 	// Resend[l] requests that the source of link l retransmit its current
 	// steady message onto l this step — the sender-side retry of the
-	// retransmit plan. The extra copy joins the link's flight queue behind
+	// retransmit plan. The extra copy joins the link's queue behind
 	// whatever is already in flight, exactly like a duplication, so Kahn
 	// frontiers stay well formed.
 	Resend []bool
@@ -171,10 +171,10 @@ type Plan interface {
 	// Filter assigns a fate to one message the schedule is delivering on
 	// link l at step t. The engine calls it once per delivered message, in
 	// deterministic (link, queue-position) order — always from a single
-	// goroutine: the sharded async executor pre-draws a step's fates on its
-	// coordinator in exactly that order and only hands the results to its
-	// workers, so a Plan's random stream stays sequential (and the sharded
-	// run bit-identical) without any locking in the Plan.
+	// goroutine: the async executor delivers a plan run's messages in one
+	// pass over the links on its coordinator, before its workers fire, so
+	// a Plan's random stream stays sequential (and the sharded run
+	// bit-identical) without any locking in the Plan.
 	Filter(t int, link int) Fate
 	// Settled reports that the plan will never again perturb the run: no
 	// future drop, duplication, corruption, retransmission, crash or
@@ -189,9 +189,9 @@ type Plan interface {
 // with the genuine payload (m0 for a silent sender) and delivers the
 // returned rewrite in its place. The call happens on the same goroutine
 // and in the same (link, queue-position) order as the Filter that drew the
-// fate — on the sharded executor both run on the coordinator during the
-// pre-draw — so a Corrupter's random stream stays sequential and the run
-// bit-identical across worker counts.
+// fate — both run on the coordinator during its delivery pass — so a
+// Corrupter's random stream stays sequential and the run bit-identical
+// across worker counts.
 type Corrupter interface {
 	Plan
 	// Corrupt returns the payload delivered in place of msg on link l at

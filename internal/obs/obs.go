@@ -55,7 +55,7 @@ const (
 	// plan rewrote.
 	KindCorrupt
 	// KindRetransmit records a sender-side retransmission a fault plan
-	// injected into Link's flight queue.
+	// injected into Link's queue, behind the messages in flight.
 	KindRetransmit
 	// KindCrash records that Node crashed at this step.
 	KindCrash

@@ -11,6 +11,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -29,6 +30,9 @@ var graphBuilders = map[string]struct {
 }{
 	"path": {"path:N", func(arg string) (*graph.Graph, error) {
 		n, err := parseN(arg)
+		if err == nil {
+			err = budget(n, n)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -36,6 +40,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"cycle": {"cycle:N", func(arg string) (*graph.Graph, error) {
 		n, err := parseN(arg)
+		if err == nil {
+			err = budget(n, n)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -46,6 +53,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"star": {"star:K", func(arg string) (*graph.Graph, error) {
 		n, err := parseN(arg)
+		if err == nil {
+			err = budget(add(n, 1), n)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -53,6 +63,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"complete": {"complete:N", func(arg string) (*graph.Graph, error) {
 		n, err := parseN(arg)
+		if err == nil {
+			err = budget(n, mul(n, n)/2)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -60,6 +73,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"bipartite": {"bipartite:AxB", func(arg string) (*graph.Graph, error) {
 		a, b, err := parsePair(arg, "x")
+		if err == nil {
+			err = budget(add(a, b), mul(a, b))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -67,6 +83,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"grid": {"grid:RxC", func(arg string) (*graph.Graph, error) {
 		r, c, err := parsePair(arg, "x")
+		if err == nil {
+			err = budget(mul(r, c), mul(2, mul(r, c)))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -74,6 +93,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"torus": {"torus:RxC", func(arg string) (*graph.Graph, error) {
 		r, c, err := parsePair(arg, "x")
+		if err == nil {
+			err = budget(mul(r, c), mul(2, mul(r, c)))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -94,6 +116,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"caterpillar": {"caterpillar:SxL", func(arg string) (*graph.Graph, error) {
 		s, l, err := parsePair(arg, "x")
+		if err == nil {
+			err = budget(add(s, mul(s, l)), add(s, mul(s, l)))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -114,6 +139,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"tree": {"tree:N,SEED", func(arg string) (*graph.Graph, error) {
 		parts, err := parseInts(arg, 2)
+		if err == nil {
+			err = budget(parts[0], parts[0])
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -121,6 +149,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"random-regular": {"random-regular:N,K,SEED", func(arg string) (*graph.Graph, error) {
 		parts, err := parseInts(arg, 3)
+		if err == nil {
+			err = budget(parts[0], mul(parts[0], parts[1])/2)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -128,6 +159,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"expander": {"expander:N,D,SEED", func(arg string) (*graph.Graph, error) {
 		parts, err := parseInts(arg, 3)
+		if err == nil {
+			err = budget(parts[0], mul(parts[0], parts[1])/2)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -135,6 +169,9 @@ var graphBuilders = map[string]struct {
 	}},
 	"pa": {"pa:N,M,SEED", func(arg string) (*graph.Graph, error) {
 		parts, err := parseInts(arg, 3)
+		if err == nil {
+			err = budget(parts[0], mul(parts[0], parts[1]))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -240,6 +277,44 @@ func ParseNumbering(g *graph.Graph, s string) (*port.Numbering, error) {
 		return nil, fmt.Errorf("spec: unknown numbering %q (known: %s)", s, strings.Join(NumberingSpecs(), " | "))
 	}
 	return e.build(g, arg)
+}
+
+// Graph size budgets. Every sized family checks its node and edge counts
+// against them before it builds anything: specs come from the command
+// line, and the constructors allocate in proportion to both counts (or
+// panic when a count overflows int), so an unchecked size is an unbounded
+// allocation. Counts are upper bounds computed with mul and add, which
+// saturate instead of wrapping.
+const (
+	nodeBudget = 1 << 22
+	edgeBudget = 1 << 24
+)
+
+// budget reports a graph of the given size that exceeds a budget.
+func budget(nodes, edges int) error {
+	switch {
+	case nodes > nodeBudget:
+		return fmt.Errorf("spec: graph exceeds the node budget of %d nodes", nodeBudget)
+	case edges > edgeBudget:
+		return fmt.Errorf("spec: graph exceeds the edge budget of %d edges", edgeBudget)
+	}
+	return nil
+}
+
+// mul and add combine non-negative sizes, saturating at math.MaxInt — above
+// both budgets — where the exact result would overflow.
+func mul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func add(a, b int) int {
+	if b > math.MaxInt-a {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 func parseN(arg string) (int, error) {

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"weakmodels/internal/graph"
@@ -52,6 +54,49 @@ func TestParseGraphErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ParseGraph(src); err == nil {
 			t.Errorf("ParseGraph(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestParseGraphBudget: a spec whose graph exceeds the node or edge budget
+// — including sizes whose product or sum overflows int — is an error that
+// names the budget, returned before any graph is allocated. At the sizes
+// below the constructors panic (makeslice out of range) or allocate until
+// the process is killed.
+func TestParseGraphBudget(t *testing.T) {
+	over := []struct{ src, want string }{
+		{"star:4611686018427387904", "node budget"},
+		{"bipartite:0x4611686018427387904", "node budget"},
+		{"path:4611686018427387904", "node budget"},
+		{"cycle:4611686018427387904", "node budget"},
+		{"torus:3037000500x3037000500", "node budget"},
+		{"grid:4294967296x4294967296", "node budget"},
+		{"caterpillar:3x4611686018427387904", "node budget"},
+		{"tree:9223372036854775807,1", "node budget"},
+		{"complete:100000", "edge budget"},
+		{"bipartite:5000x5000", "edge budget"},
+		{"random-regular:4000000,9,1", "edge budget"},
+		{"expander:4000000,4611686018427387904,1", "edge budget"},
+		{"pa:4000000,5,1", "edge budget"},
+	}
+	// At the edge budget exactly: N·K = 2²⁵+1 half-edges make 2²⁴ edges,
+	// so these pass the budget and reach their constructors, which refuse
+	// the odd degree sum themselves before allocating.
+	at := []struct{ src, want string }{
+		{"random-regular:3050403,11,1", "odd"},
+		{"expander:3050403,11,1", "odd"},
+	}
+	for _, tc := range append(over, at...) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		g, err := ParseGraph(tc.src)
+		runtime.ReadMemStats(&ms)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseGraph(%q) = %v, %v; want an error naming %q", tc.src, g, err, tc.want)
+		}
+		if grew := ms.TotalAlloc - before; grew > 1<<16 {
+			t.Errorf("ParseGraph(%q) allocated %d bytes before refusing", tc.src, grew)
 		}
 	}
 }
