@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -189,18 +188,6 @@ func benchByzantinePlan() fault.Plan {
 	return fault.ByzantineFor(7, 0.10, never)
 }
 
-// benchParWorkers resolves the shard count of the parallel-async sweeps:
-// GOMAXPROCS, floored at 2 so the sharded runtime (staging rings,
-// barriers) is the thing being measured even on single-core hosts — where
-// workers=GOMAXPROCS would degenerate to the inline path that the plain
-// async entries already record.
-func benchParWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w > 2 {
-		return w
-	}
-	return 2
-}
-
 func benchEngineGraphs(b *testing.B, exec engine.Executor, workers int, graphs map[string]*graph.Graph, plan func() fault.Plan) {
 	for gname, g := range graphs {
 		p := port.Canonical(g)
@@ -244,22 +231,10 @@ func BenchmarkEngineSeq(b *testing.B) { benchEngine(b, engine.ExecutorSeq) }
 func BenchmarkEnginePool(b *testing.B) { benchEngine(b, engine.ExecutorPool) }
 
 // BenchmarkEngineAsync sweeps the asynchronous executor under its default
-// Synchronous schedule on the inline single-shard runtime (workers=1): the
-// cost of per-link queueing relative to the double-buffered arena, at
-// identical semantics. Pinned at one worker so the entry keeps measuring
-// the same code path it always has; the sharded form has its own sweep
-// below.
+// Synchronous schedule: the cost of per-link queueing relative to the
+// double-buffered arena, at identical semantics.
 func BenchmarkEngineAsync(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, 1, engineBenchGraphs(b), nil)
-}
-
-// BenchmarkEngineAsyncPar sweeps the sharded parallel async driver at
-// benchParWorkers shards — the workers=GOMAXPROCS row of the async speedup
-// record: the coordinator's serial delivery pass, then the parallel
-// firing phase. Compare against BenchmarkEngineAsync (workers=1):
-// identical semantics, bit-identical results.
-func BenchmarkEngineAsyncPar(b *testing.B) {
-	benchEngineGraphs(b, engine.ExecutorAsync, benchParWorkers(), engineBenchGraphs(b), nil)
 }
 
 // BenchmarkEngineAsyncFaults sweeps the async executor with the delivery
@@ -270,27 +245,12 @@ func BenchmarkEngineAsyncFaults(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, 1, engineBenchGraphs(b), benchFaultPlan)
 }
 
-// BenchmarkEngineAsyncFaultsPar sweeps the sharded async driver with the
-// fault plan live: the coordinator delivers every link in link order,
-// drawing and applying each fate in place, so this measures the serial
-// delivery-and-fate pass followed by the parallel firing phase.
-func BenchmarkEngineAsyncFaultsPar(b *testing.B) {
-	benchEngineGraphs(b, engine.ExecutorAsync, benchParWorkers(), engineBenchGraphs(b), benchFaultPlan)
-}
-
 // BenchmarkEngineAsyncByzantine sweeps the async executor with Byzantine
 // corruption live: the delivery filter plus a 10% payload-rewrite rate.
 // Compare against BenchmarkEngineAsyncFaults — the delta is the corrupter
 // (RNG draws interleaved with the filter's, byte-level rewrites).
 func BenchmarkEngineAsyncByzantine(b *testing.B) {
 	benchEngineGraphs(b, engine.ExecutorAsync, 1, engineBenchGraphs(b), benchByzantinePlan)
-}
-
-// BenchmarkEngineAsyncByzantinePar is the sharded form: the coordinator's
-// serial delivery pass also writes the corrupted payloads in place, ahead
-// of the parallel firing phase.
-func BenchmarkEngineAsyncByzantinePar(b *testing.B) {
-	benchEngineGraphs(b, engine.ExecutorAsync, benchParWorkers(), engineBenchGraphs(b), benchByzantinePlan)
 }
 
 // BenchmarkEngineLargeSeq sweeps the sequential executor at n=10⁵.
@@ -415,15 +375,11 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	for _, exec := range []engine.Executor{engine.ExecutorSeq, engine.ExecutorPool} {
 		emit(exec.String(), exec, 0, small, nil)
 	}
-	// The async speedup record: workers=1 (the single-threaded driver,
-	// comparable with every earlier baseline) vs the sharded driver at
-	// benchParWorkers ("-par"), plus the fault-filter sweeps on both.
+	// The async record: the plan-free driver plus the fault-filter and
+	// Byzantine sweeps.
 	emit("async", engine.ExecutorAsync, 1, small, nil)
-	emit("async-par", engine.ExecutorAsync, benchParWorkers(), small, nil)
 	emit("async-faults", engine.ExecutorAsync, 1, small, benchFaultPlan)
-	emit("async-faults-par", engine.ExecutorAsync, benchParWorkers(), small, benchFaultPlan)
 	emit("async-byzantine", engine.ExecutorAsync, 1, small, benchByzantinePlan)
-	emit("async-byzantine-par", engine.ExecutorAsync, benchParWorkers(), small, benchByzantinePlan)
 	large := engineBenchLargeGraphs(t)
 	for _, exec := range []engine.Executor{engine.ExecutorSeq, engine.ExecutorPool} {
 		emit(exec.String(), exec, 0, large, nil)

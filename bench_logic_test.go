@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -314,6 +315,16 @@ func benchBisimRefine(b *testing.B, models map[string]*kripke.Model, workers int
 // fill, to fixpoint on the base models. Compare against
 // BenchmarkBisimRefineLegacy — the seed's string-signature loop.
 func BenchmarkBisimRefine(b *testing.B) { benchBisimRefine(b, logicBenchModels(b), 1) }
+
+// benchParWorkers resolves the worker count of the parallel refinement
+// sweeps: GOMAXPROCS, floored at 2 so the fanned-out signature fill is the
+// thing being measured even on single-core hosts.
+func benchParWorkers() int {
+	if w := runtime.GOMAXPROCS(0); w > 2 {
+		return w
+	}
+	return 2
+}
 
 // BenchmarkBisimRefinePar is the sharded signature fill at
 // benchParWorkers — the partition is bit-identical to the sequential

@@ -26,7 +26,6 @@ import (
 	"weakmodels/internal/port"
 	"weakmodels/internal/simulate"
 	"weakmodels/internal/universal"
-	"weakmodels/internal/views"
 )
 
 // BenchmarkF1PortNumbering — Figure 1: generating and validating port
@@ -418,27 +417,6 @@ func mustSymmetric(b *testing.B, g *graph.Graph) *port.Numbering {
 		b.Fatal(err)
 	}
 	return p
-}
-
-// BenchmarkViewsVsBisim — §3.3 classical substrate: view refinement vs
-// partition refinement computing the same equivalence.
-func BenchmarkViewsVsBisim(b *testing.B) {
-	g := graph.Torus(8, 8)
-	p := port.Canonical(g)
-	b.Run("views", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			views.Classes(p, 8)
-		}
-	})
-	b.Run("bisim", func(b *testing.B) {
-		m := kripke.FromPorts(p, kripke.VariantPP)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bisim.Compute(m, bisim.Options{Graded: true, MaxRounds: 8})
-		}
-	})
 }
 
 // BenchmarkLift — §3.3: permutation-voltage lifts.

@@ -6,7 +6,7 @@
 //	weakrun -alg odd-odd -graph cycle:8 -ports random:7
 //	weakrun -alg vertex-cover -graph petersen -ports canonical -executor pool
 //	weakrun -alg odd-odd -graph torus:6x6 -executor async -schedule adversary:4 -seed 9
-//	weakrun -alg odd-odd -graph torus:100x100 -executor async -workers 8 -schedule random:0.5
+//	weakrun -alg odd-odd -graph torus:100x100 -executor pool -workers 8
 //	weakrun -alg odd-odd -graph pa:64,3,7 -executor async -faults drop:0.2+crash:2 -fault-seed 5
 //	weakrun -formula "<*,*> q1" -graph star:5
 //	weakrun -list
@@ -14,8 +14,7 @@
 // With -formula the algorithm is compiled from a modal formula via
 // Theorem 2 and the satisfying nodes are printed. With -executor async the
 // run is driven by the -schedule/-seed adversary and the summary reports
-// per-node activation counts and whether a global fixpoint was detected
-// (-workers > 1 runs it on the sharded parallel driver, bit-identically);
+// per-node activation counts and whether a global fixpoint was detected;
 // -faults/-fault-seed additionally inject a seeded fault plan (message
 // omission/duplication, Byzantine corruption, link partitions with healing,
 // sender-side retransmission, node crash/recovery) and the summary grows a
@@ -85,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	graphSpec := fs.String("graph", "cycle:6", "graph specification")
 	portSpec := fs.String("ports", "canonical", "port numbering: canonical|random:SEED|consistent:SEED|symmetric")
 	executor := fs.String("executor", "seq", "execution strategy: seq|pool|async")
-	workers := fs.Int("workers", 0, "shard count for the pool and async executors (default GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "shard count for the pool executor (default GOMAXPROCS)")
 	schedSpec := fs.String("schedule", "sync", "async schedule: "+schedule.ValidSpecs)
 	seed := fs.Int64("seed", 1, "seed for seeded async schedules")
 	faultSpec := fs.String("faults", "", "async fault plan: "+fault.ValidSpecs())
@@ -145,8 +144,8 @@ func run(args []string, out io.Writer) error {
 		}
 		// -replay picks the executor from the recording, so -workers stands
 		// on its own there.
-		if exec != engine.ExecutorPool && exec != engine.ExecutorAsync && *replayPath == "" {
-			return fmt.Errorf("-workers is only meaningful with -executor=pool or -executor=async (got -executor=%v)", exec)
+		if exec != engine.ExecutorPool && *replayPath == "" {
+			return fmt.Errorf("-workers is only meaningful with -executor=pool (got -executor=%v)", exec)
 		}
 	}
 	sched, err := schedule.Parse(*schedSpec, *seed)
@@ -415,8 +414,8 @@ func loadRecording(path string, m machine.Machine, p *port.Numbering) (*replay.R
 }
 
 // cutLinksOf counts the directed links the engine's BFS shard partition
-// cuts — the cross-shard traffic a sharded run paid barrier/staging costs
-// for. The engine shards by contiguous slices of the same BFS order, so
+// cuts — the messages a pool run writes into another shard's arena
+// region. The engine shards by contiguous slices of the same BFS order, so
 // recomputing the partition here reproduces its boundaries exactly.
 func cutLinksOf(g *graph.Graph, shards int) int {
 	if shards <= 1 {
@@ -534,12 +533,11 @@ type histReport struct {
 }
 
 // timingReport carries the engine's wall-time histograms: per-round wall
-// time and the per-shard compute/merge phase split (the load-imbalance
-// signal of a sharded run).
+// time and the per-shard compute phase (the load-imbalance signal of a
+// pool run).
 type timingReport struct {
-	RoundUs      histReport `json:"round_us"`
-	ShardStepUs  histReport `json:"shard_step_us"`
-	ShardMergeUs histReport `json:"shard_merge_us"`
+	RoundUs     histReport `json:"round_us"`
+	ShardStepUs histReport `json:"shard_step_us"`
 }
 
 type runReport struct {
@@ -629,9 +627,8 @@ func printJSON(out io.Writer, m machine.Machine, g *graph.Graph, res *engine.Res
 	}
 	if reg != nil {
 		rep.Timing = &timingReport{
-			RoundUs:      summarize(reg, engine.MetricRoundUs),
-			ShardStepUs:  summarize(reg, engine.MetricShardStepUs),
-			ShardMergeUs: summarize(reg, engine.MetricShardMergeUs),
+			RoundUs:     summarize(reg, engine.MetricRoundUs),
+			ShardStepUs: summarize(reg, engine.MetricShardStepUs),
 		}
 	}
 	enc := json.NewEncoder(out)
@@ -645,7 +642,7 @@ func printList(out io.Writer) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "flag\tvalid values")
 	fmt.Fprintln(w, "-executor\tseq | pool | async")
-	fmt.Fprintln(w, "-workers\tshard count ≥ 1, with -executor=pool or -executor=async (default GOMAXPROCS); sharded runs report shards= and cut-links= (graph.CutLinks) on the telemetry line")
+	fmt.Fprintln(w, "-workers\tshard count ≥ 1, with -executor=pool (default GOMAXPROCS); sharded runs report shards= and cut-links= (graph.CutLinks) on the telemetry line")
 	fmt.Fprintln(w, "-schedule\t"+schedule.ValidSpecs)
 	fmt.Fprintln(w, "-graph\t"+strings.Join(spec.GraphSpecs(), "  "))
 	fmt.Fprintln(w, "-ports\t"+strings.Join(spec.NumberingSpecs(), " | "))

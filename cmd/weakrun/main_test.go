@@ -121,39 +121,18 @@ func TestRunAsyncExecutor(t *testing.T) {
 	}
 }
 
-// TestRunAsyncWorkers: -workers with -executor=async selects the sharded
-// parallel async driver, whose outputs are bit-identical to the
-// single-threaded one — the flag must be accepted, not cross-validated
-// away.
+// TestRunAsyncWorkers: the async executor runs on one shard, so -workers
+// with -executor=async is rejected like it is with seq, never silently
+// ignored.
 func TestRunAsyncWorkers(t *testing.T) {
-	var seq, par strings.Builder
-	if err := run([]string{"-alg", "odd-odd", "-graph", "torus:4x4",
-		"-executor", "async", "-schedule", "roundrobin", "-workers", "1"}, &seq); err != nil {
-		t.Fatal(err)
+	var sb strings.Builder
+	err := run([]string{"-alg", "odd-odd", "-graph", "torus:4x4",
+		"-executor", "async", "-schedule", "roundrobin", "-workers", "3"}, &sb)
+	if err == nil {
+		t.Fatal("run accepted -workers with -executor=async")
 	}
-	if err := run([]string{"-alg", "odd-odd", "-graph", "torus:4x4",
-		"-executor", "async", "-schedule", "roundrobin", "-workers", "3"}, &par); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(par.String(), "shards=3 cut-links=") {
-		t.Errorf("sharded async run missing shard telemetry:\n%s", par.String())
-	}
-	// Apart from the shard telemetry suffix the outputs must be
-	// bit-identical.
-	stripShards := func(s string) string {
-		lines := strings.Split(s, "\n")
-		for i, ln := range lines {
-			if strings.HasPrefix(ln, "rounds=") {
-				if idx := strings.Index(ln, " shards="); idx >= 0 {
-					lines[i] = ln[:idx]
-				}
-			}
-		}
-		return strings.Join(lines, "\n")
-	}
-	if stripShards(seq.String()) != stripShards(par.String()) {
-		t.Errorf("sharded async output diverged from single-threaded\nworkers=1:\n%s\nworkers=3:\n%s",
-			seq.String(), par.String())
+	if !strings.Contains(err.Error(), "only meaningful with -executor=pool") {
+		t.Errorf("-workers with async: unhelpful error %v", err)
 	}
 }
 
@@ -172,7 +151,7 @@ func TestRunAsyncSeededSchedules(t *testing.T) {
 // executor or schedule are rejected up front, never silently ignored.
 func TestRunFlagCrossValidation(t *testing.T) {
 	cases := [][]string{
-		{"-alg", "even-degree", "-workers", "4"},                                       // workers without pool/async
+		{"-alg", "even-degree", "-workers", "4"},                                       // workers without pool
 		{"-alg", "even-degree", "-seed", "7"},                                          // seed without async
 		{"-alg", "even-degree", "-executor", "async", "-seed", "7"},                    // seed with unseeded sync default
 		{"-alg", "even-degree", "-executor", "async", "-schedule", "rr", "-seed", "7"}, // seed with roundrobin
@@ -243,7 +222,7 @@ func TestRunList(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"-executor", "seq | pool | async",
-		"-workers", "-executor=pool or -executor=async",
+		"-workers", "with -executor=pool (default GOMAXPROCS)",
 		"-schedule", "adversary:F",
 		"-graph", "pa:N,M,SEED",
 		"-ports", "consistent:SEED",
@@ -338,7 +317,7 @@ func TestRunFaultFlagCrossValidation(t *testing.T) {
 func TestRunJSONSchema(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-alg", "max-consensus", "-graph", "torus:4x4",
-		"-executor", "async", "-schedule", "roundrobin", "-workers", "2",
+		"-executor", "async", "-schedule", "roundrobin",
 		"-faults", "partition:3,42,80", "-json"}, &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -377,11 +356,11 @@ func TestRunJSONSchema(t *testing.T) {
 	if n := len(obj["outputs"].([]any)); n != 16 {
 		t.Errorf("outputs has %d entries, want 16", n)
 	}
-	if obj["shards"].(float64) != 2 || obj["cut_links"].(float64) == 0 {
+	if obj["shards"].(float64) != 1 || obj["cut_links"].(float64) != 0 {
 		t.Errorf("shard telemetry wrong: shards=%v cut_links=%v", obj["shards"], obj["cut_links"])
 	}
 	timing := obj["timing"].(map[string]any)
-	wantTiming := []string{"round_us", "shard_merge_us", "shard_step_us"}
+	wantTiming := []string{"round_us", "shard_step_us"}
 	if got := keysOf(timing); !reflect.DeepEqual(got, wantTiming) {
 		t.Errorf("timing keys = %v, want %v", got, wantTiming)
 	}
@@ -391,10 +370,10 @@ func TestRunJSONSchema(t *testing.T) {
 			t.Errorf("timing.%s keys = %v", k, got)
 		}
 	}
-	// Two shards, one compute sample per shard per step.
+	// One shard, one firing-pass sample per step.
 	steps := timing["shard_step_us"].(map[string]any)
-	if steps["count"].(float64) != 2*obj["rounds"].(float64) {
-		t.Errorf("shard_step_us count = %v, want 2*rounds = %v", steps["count"], 2*obj["rounds"].(float64))
+	if steps["count"].(float64) != obj["rounds"].(float64) {
+		t.Errorf("shard_step_us count = %v, want rounds = %v", steps["count"], obj["rounds"].(float64))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Flight-recorder walkthrough: record a hostile run's decision stream and
-// checkpoints, replay it byte-exactly at a different worker count, resume
+// checkpoints, replay it byte-exactly with no generator in the loop, resume
 // it from an intermediate snapshot, and bisect a failed stabilisation
 // check to the exact first (step, node) that left the fault-free
 // trajectory — the workflow `weakrun -checkpoint` / `-replay` / `-resume`
@@ -95,7 +95,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts.Workers = 4
 	opts.Obs = &obs.Obs{Sink: obs.NewJournalWriter(&liveJournal)}
 	ropts, recorder, err := replay.New(opts, 8, &saved)
 	if err != nil {
@@ -112,11 +111,11 @@ func main() {
 	fmt.Printf("recorded: %d steps, %d drops, fixpoint=%v; %d snapshots every 8 steps, %d bytes saved\n",
 		res.Rounds, res.Drops, res.Fixpoint, len(rec.Snapshots()), saved.Len())
 
-	// ── 2. Replay, byte-exactly, at a different worker count ────────────
+	// ── 2. Replay, byte-exactly ──────────────────────────────────────────
 	// Load decodes what Save wrote; Replay reruns the engine with the
-	// players standing in for the generators. Workers=1 here vs the
-	// recorded 4: the journal must still come back byte-identical — the
-	// engine's determinism contract, now testable run-vs-replay.
+	// players standing in for the generators. No randomness is re-drawn,
+	// yet the journal must come back byte-identical — the engine's
+	// determinism contract, now testable run-vs-replay.
 	loaded, err := replay.Load(bytes.NewReader(saved.Bytes()), m, p)
 	if err != nil {
 		log.Fatal(err)
@@ -124,13 +123,12 @@ func main() {
 	var replayJournal bytes.Buffer
 	rres, err := loaded.Replay(m, p, engine.Options{
 		Executor: engine.ExecutorAsync,
-		Workers:  1,
 		Obs:      &obs.Obs{Sink: obs.NewJournalWriter(&replayJournal)},
 	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replayed: %d steps at workers=1; journal byte-identical: %v\n",
+	fmt.Printf("replayed: %d steps; journal byte-identical: %v\n",
 		rres.Rounds, bytes.Equal(liveJournal.Bytes(), replayJournal.Bytes()))
 
 	// ── 3. Resume from an intermediate snapshot ─────────────────────────

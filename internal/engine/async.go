@@ -2,9 +2,9 @@ package engine
 
 // async.go implements the asynchronous executor's Kahn-frontier core:
 // the per-link queue state, the delivery and firing primitives and the
-// fixpoint condition. The driver — the step loop over the shard runtime —
-// lives in async_driver.go. Where the synchronous executors run the
-// Section 1.3 semantics directly — one global barrier per round over a
+// fixpoint condition. The driver — the step loop — lives in
+// async_driver.go. Where the synchronous executors run the Section 1.3
+// semantics directly — one global barrier per round over a
 // double-buffered arena — the async executor replaces the barrier with
 // per-link FIFO queues and hands control of time to a schedule.Schedule:
 // at every step the schedule decides which sent messages are delivered
@@ -61,7 +61,7 @@ package engine
 // not wedged — but never step δ; a recovery lifts the mask, either
 // resuming the frozen state or resetting it through machine.Reboot.
 // Third, sender-side retransmissions (fault.Decision.Resend): the
-// coordinator pushes a link's steady message onto its queue behind
+// driver pushes a link's steady message onto its queue behind
 // whatever is in flight, so a recovering node re-receives its frontier —
 // for the fixpoint argument the extra copy is a no-op re-send, and for
 // the Kahn discipline it is indistinguishable from a duplication. The
@@ -161,6 +161,11 @@ type asyncState struct {
 	ready  []int32     // per node: in-ports with non-empty mail
 	fires  []int64     // per node: completed firings
 
+	// Scratch of the firing pass and the fixpoint probe, both sized to the
+	// maximum degree: the frontier a firing consumes through, and the
+	// canonicalisation buffer.
+	inbox, scratch []machine.Message
+
 	// Fault state, allocated only when a plan runs (plan != nil): the
 	// liveness mask, the initial states recoveries reset to, and the
 	// plan's decision buffer. corrupt is the plan's Corrupter when it can
@@ -174,27 +179,10 @@ type asyncState struct {
 	corrupt fault.Corrupter
 	guard   machine.MessageGuard
 
-	// jr is the run's journal, nil when no sink is attached. Shard phases
-	// append fire/halt events to their stepStats buffer; everything else
-	// is emitted on the coordinator in global order (see journal.go).
+	// jr is the run's journal, nil when no sink is attached. The firing
+	// pass appends fire/halt events to its stepStats buffer; everything
+	// else is buffered in global order as it happens (see journal.go).
 	jr *journal
-}
-
-// asyncBufs is the per-shard scratch space of the async executor: the
-// frontier buffer firings consume through and the canonicalisation buffer,
-// both sized to the maximum degree. Every shard owns its own, which is
-// what keeps firings and the fixpoint probe data-race free across shards.
-type asyncBufs struct {
-	inbox   []machine.Message
-	scratch []machine.Message
-}
-
-// newBufs allocates a scratch space for one shard.
-func (as *asyncState) newBufs() asyncBufs {
-	return asyncBufs{
-		inbox:   make([]machine.Message, as.g.MaxDegree()),
-		scratch: make([]machine.Message, 0, as.g.MaxDegree()),
-	}
 }
 
 func newAsyncState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options) (*asyncState, int, error) {
@@ -216,6 +204,8 @@ func newAsyncState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Op
 		queues:    make([]linkQueue, links),
 		ready:     make([]int32, n),
 		fires:     make([]int64, n),
+		inbox:     make([]machine.Message, g.MaxDegree()),
+		scratch:   make([]machine.Message, 0, g.MaxDegree()),
 		jr:        newJournal(opts.Obs),
 	}
 	// Seed every queue with a capacity-2 slice carved out of one flat
@@ -274,39 +264,22 @@ func (as *asyncState) silent(v int) bool {
 	return as.halted[v] || as.dead(v)
 }
 
-// portMessage is the single source of truth for what node v emits through
-// out-port slot s (lo = v's first slot): m0 when silent, the broadcast
-// message bmsg (computed once per firing by the caller) for broadcast
-// machines, the per-port μ otherwise. Both drivers' emission paths go
-// through it, so they cannot drift apart.
-func (as *asyncState) portMessage(v int, s, lo int32, silent bool, bmsg machine.Message) machine.Message {
-	switch {
-	case silent:
-		return machine.NoMessage
-	case as.broadcast:
-		return bmsg
-	default:
-		return as.m.Send(as.states[v], int(s-lo)+1)
-	}
-}
-
-// broadcastMessage computes the one message a broadcast machine emits on
-// every port this firing, or m0 when the node is silent.
-func (as *asyncState) broadcastMessage(v int, silent bool) machine.Message {
-	if silent || !as.broadcast {
-		return machine.NoMessage
-	}
-	return as.m.Send(as.states[v], 1)
-}
-
 // emit sends node v's current outgoing messages onto its out-links,
-// stamped with the given step.
+// stamped with the given step: m0 on every port when v is silent, else
+// μ(x_v, j) through each out-port j, computed once per firing for
+// broadcast machines.
 func (as *asyncState) emit(v, step int) {
 	lo, hi := as.off[v], as.off[v+1]
 	silent := as.silent(v)
-	bmsg := as.broadcastMessage(v, silent)
+	msg := machine.NoMessage
+	if !silent && as.broadcast {
+		msg = as.m.Send(as.states[v], 1)
+	}
 	for s := lo; s < hi; s++ {
-		as.queues[as.dest[s]].push(as.portMessage(v, s, lo, silent, bmsg), step)
+		if !silent && !as.broadcast {
+			msg = as.m.Send(as.states[v], int(s-lo)+1)
+		}
+		as.queues[as.dest[s]].push(msg, step)
 	}
 }
 
@@ -359,14 +332,14 @@ func (as *asyncState) canFire(v int) bool {
 	return as.ready[v] == as.off[v+1]-as.off[v]
 }
 
-// consume pops node v's frontier into bufs, steps δ (halted and crashed
-// nodes discard — the liveness mask gates the δ-step, not the drain), and
-// checks halting. Callers have checked canFire and must follow up with an
-// emission of v's next messages.
-func (as *asyncState) consume(v int, st *stepStats, bufs *asyncBufs) {
+// consume pops node v's frontier into the inbox scratch, steps δ (halted
+// and crashed nodes discard — the liveness mask gates the δ-step, not the
+// drain), and checks halting. Callers have checked canFire and must follow
+// up with an emission of v's next messages.
+func (as *asyncState) consume(v int, st *stepStats) {
 	lo, hi := as.off[v], as.off[v+1]
 	deg := int(hi - lo)
-	inbox := bufs.inbox[:deg]
+	inbox := as.inbox[:deg]
 	for i := 0; i < deg; i++ {
 		q := &as.queues[lo+int32(i)]
 		msg := q.pop()
@@ -389,7 +362,7 @@ func (as *asyncState) consume(v int, st *stepStats, bufs *asyncBufs) {
 		if as.guard != nil {
 			machine.GuardInbox(as.guard, inbox)
 		}
-		cin := machine.CanonicalInboxInto(as.recv, inbox, bufs.scratch)
+		cin := machine.CanonicalInboxInto(as.recv, inbox, as.scratch)
 		as.states[v] = as.m.Step(as.states[v], cin)
 		if out, ok := as.m.Halted(as.states[v]); ok {
 			as.halted[v] = true
@@ -421,10 +394,8 @@ func (as *asyncState) steadyMessage(l int32) machine.Message {
 // queued or in flight on its in-links equals the source's steady message,
 // and — unless v is halted or dead (frozen: a settled plan will never
 // revive it, so its state is exempt) — stepping v on the steady inbox
-// would neither halt it nor change its state. It reads only v's own queues
-// plus the (quiescent) states of v's neighbours, so disjoint node sets can
-// be probed concurrently.
-func (as *asyncState) nodeAtFixpoint(v int, bufs *asyncBufs) bool {
+// would neither halt it nor change its state.
+func (as *asyncState) nodeAtFixpoint(v int) bool {
 	lo, hi := as.off[v], as.off[v+1]
 	for l := lo; l < hi; l++ {
 		q := &as.queues[l]
@@ -441,11 +412,11 @@ func (as *asyncState) nodeAtFixpoint(v int, bufs *asyncBufs) bool {
 	if as.halted[v] || as.dead(v) {
 		return true
 	}
-	inbox := bufs.inbox[:hi-lo]
+	inbox := as.inbox[:hi-lo]
 	for l := lo; l < hi; l++ {
 		inbox[l-lo] = as.steadyMessage(l)
 	}
-	cin := machine.CanonicalInboxInto(as.recv, inbox, bufs.scratch)
+	cin := machine.CanonicalInboxInto(as.recv, inbox, as.scratch)
 	next := as.m.Step(as.states[v], cin)
 	if _, ok := as.m.Halted(next); ok {
 		return false
@@ -532,10 +503,9 @@ func (as *asyncState) applyFaults(t int, view asyncView, res *Result) (activeDel
 	}
 	// Sender-side retransmissions: push the source's current steady message
 	// onto each requested link, stamped with this step, behind whatever is
-	// already in flight. This runs on the coordinator over quiescent state,
-	// in ascending link order, before the step's fate pass — so the shard
-	// count stays invisible. A dead or halted source retransmits m0; for the
-	// fixpoint argument the extra copy is exactly a no-op re-send.
+	// already in flight, in ascending link order, before the step's fate
+	// pass. A dead or halted source retransmits m0; for the fixpoint
+	// argument the extra copy is exactly a no-op re-send.
 	for l, resend := range as.fdec.Resend {
 		if resend {
 			as.queues[l].push(as.steadyMessage(int32(l)), t)

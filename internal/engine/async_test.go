@@ -392,3 +392,28 @@ func TestLinkQueueStaysBounded(t *testing.T) {
 		t.Logf("%s: peak live depth %d, final cap %d", tc.name, peak, cap(q.buf))
 	}
 }
+
+// TestAsyncIgnoresWorkers: the async executor runs on one shard whatever
+// Options.Workers says, as ExecutorSeq does — a run with Workers 4
+// reports Shards == 1 and equals the Workers 1 run in every Result field.
+func TestAsyncIgnoresWorkers(t *testing.T) {
+	g := graph.Torus(4, 4)
+	p := port.Canonical(g)
+	m := algorithms.MaxConsensus(g.MaxDegree())
+	run := func(workers int) *Result {
+		opts := hostileOpts(t, "random:0.3", workers)
+		opts.RecordTrace = true
+		res, err := Run(m, p, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	ref, got := run(1), run(4)
+	if got.Shards != 1 {
+		t.Fatalf("workers=4: ran on %d shards, want 1", got.Shards)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("workers=4 diverged from workers=1\nworkers=1: %+v\nworkers=4: %+v", ref, got)
+	}
+}

@@ -12,14 +12,14 @@
 // (port.Routes), so message delivery is pure array indexing — no
 // Dest/NeighborIndex calls in any hot loop.
 //
-// On top of it sits one shard-owned runtime (runtime.go) and two execution
-// semantics. The runtime partitions the node set into locality-aware
-// shards — contiguous slices of a breadth-first order grown from a
-// max-degree root (graph.ShardByBFS via port.Locality), so shard
+// On top of it sit two execution semantics. The synchronous one runs on a
+// shard-owned runtime (runtime.go) that partitions the node set into
+// locality-aware shards — contiguous slices of a breadth-first order grown
+// from a max-degree root (graph.ShardByBFS via port.Locality), so shard
 // boundaries cut few links — and owns everything sharding needs: the
 // per-shard telemetry counters and scratch buffers, the per-shard arena
 // regions, and the worker/barrier fan-out loop. The three Executor values
-// are thin selections over it:
+// select between them:
 //
 //   - ExecutorSeq and ExecutorPool run the synchronous semantics of
 //     Section 1.3 (router.go): all inboxes live in one flat
@@ -48,13 +48,10 @@
 //     (TestAsyncSynchronousEquivalence). Runs that stabilise without
 //     halting are cut off by fixpoint detection (see async.go); Result
 //     reports per-node activation counts and a causality-consistent
-//     trace. The driver runs on the same shard runtime: each shard owns
-//     its nodes' queues outright, cross-shard sends are staged in
-//     per-(sender, receiver) rings merged at a barrier, and schedule/
-//     fault decisions stay on the coordinator — so one shard (inline, the
-//     default below the sharding threshold) and W shards are bit-identical
-//     for every schedule × fault × graph cell
-//     (TestAsyncShardedEquivalence, under -race).
+//     trace. The driver runs on one shard, on the caller: each step
+//     delivers on every link in id order, then fires the activated
+//     full-frontier nodes in id order. A sharded firing pass measured no
+//     faster, so Options.Workers does not apply (see async_driver.go).
 //
 // The schedule abstraction (internal/schedule) supplies deterministic
 // seeded generators — Synchronous, RoundRobin, RandomSubset,
@@ -118,8 +115,8 @@ const (
 	// driven by a schedule.Schedule instead of a global barrier, with
 	// fixpoint detection for runs that stabilise without halting. Unlike
 	// the other two it interprets the round budget as a step budget and
-	// honours Options.Schedule. Options.Workers > 1 shards it over the
-	// same runtime, bit-identically to the single-shard form.
+	// honours Options.Schedule. It runs on one shard and ignores
+	// Options.Workers.
 	ExecutorAsync
 )
 
@@ -163,12 +160,9 @@ type Options struct {
 	// Executor selects the execution strategy (default ExecutorSeq).
 	Executor Executor
 	// Workers bounds the number of locality-aware (BFS-order) runtime
-	// shards of the parallel executors when positive (default GOMAXPROCS,
-	// capped at the node count). For ExecutorAsync a resolved count of 1
-	// runs the driver inline, as does leaving Workers unset on graphs too
-	// small for per-step work to outweigh the shard barriers
-	// (asyncAutoShardMinNodes). Every count produces bit-identical
-	// results. ExecutorSeq ignores it.
+	// shards of ExecutorPool when positive (default GOMAXPROCS, capped at
+	// the node count). Every count produces bit-identical results.
+	// ExecutorSeq and ExecutorAsync ignore it.
 	Workers int
 	// Schedule drives the async executor's activation and delivery
 	// decisions (default schedule.Synchronous()). Setting it with any
@@ -263,8 +257,9 @@ type Result struct {
 	// queues. All zero when no fault plan ran.
 	Corruptions, Healed, Retransmits int64
 	// Shards is the number of runtime shards the run executed on: 1 for
-	// the single-threaded paths, the resolved worker count otherwise.
-	// Telemetry only — every shard count produces bit-identical results.
+	// ExecutorSeq and ExecutorAsync, the resolved worker count for
+	// ExecutorPool. Telemetry only — every shard count produces
+	// bit-identical results.
 	Shards int
 }
 

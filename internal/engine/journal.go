@@ -7,16 +7,16 @@ package engine
 //
 // The ordering discipline mirrors the fault plan's: everything that must
 // be globally ordered already happens on the coordinator (crash/recovery/
-// retransmission decisions, and delivery fates — applied by one pass over
-// the links in global (link, queue-position) order, whatever the shard
-// count), so those events go straight into the coordinator's step buffer
-// in emission order. Only fire/halt events are produced inside shard
-// phases; each shard appends them to its own stepStats buffer (the same
-// fold discipline as the byte/halt counters), and the coordinator merges
-// them at the barrier by sorting on node id — a canonical order no shard
-// count can perturb. The result: the serialized journal of a seeded run
-// is byte-identical for every Workers and GOMAXPROCS setting, which
-// TestJournalShardDeterminism pins.
+// retransmission decisions, partition heals, and delivery fates — applied
+// by one pass over the links in global (link, queue-position) order), so
+// those events go straight into the coordinator's step buffer in emission
+// order. Only fire/halt events are produced inside shard phases (the
+// async firing pass is one such phase); each shard appends them to its
+// own stepStats buffer (the same fold discipline as the byte/halt
+// counters), and the coordinator merges them at the barrier by sorting on
+// node id — a canonical order no shard count can perturb. The result: the
+// serialized journal of a seeded run is byte-identical for every Workers
+// and GOMAXPROCS setting, which TestJournalShardDeterminism pins.
 //
 // Everything here is nil-guarded at the emit sites: with Options.Obs nil
 // (or its Sink/Metrics fields nil) the engine allocates nothing and pays
@@ -77,13 +77,15 @@ const (
 	MetricRoundUs     = "weak_engine_round_us"
 	MetricRoundNodeUs = "weak_engine_round_node_us"
 	// MetricShardStepUs observes each shard's wall time in the compute
-	// phase, one sample per shard per round/step; MetricShardMergeUs the
-	// same for the async cross-shard merge phase (sampled only on steps
-	// that staged cross-shard traffic). Their spread is the load-imbalance
-	// signal: a healthy sharding keeps all shards' samples close. The async
-	// compute phase is firing only: delivery runs on the coordinator before
-	// the phase, outside these samples but inside MetricRoundUs.
-	MetricShardStepUs  = "weak_engine_shard_step_us"
+	// phase, one sample per shard per round/step. Its spread is the
+	// load-imbalance signal of a pool run: a healthy sharding keeps all
+	// shards' samples close. The async compute phase is the one-shard
+	// firing pass: delivery runs before it, outside these samples but
+	// inside MetricRoundUs.
+	MetricShardStepUs = "weak_engine_shard_step_us"
+	// MetricShardMergeUs is observed by no run: the async executor has no
+	// merge phase. It stays exported because perfbench's traced run still
+	// reads it (as 0).
 	MetricShardMergeUs = "weak_engine_shard_merge_us"
 )
 
@@ -152,14 +154,13 @@ func (j *journal) finish(err *error) {
 //
 //weakvet:obs newRunMetrics returns nil instead of a hook with nil fields; callers guard the *runMetrics, so reg/clock/histograms are non-nil by construction
 type runMetrics struct {
-	reg          *obs.Metrics
-	clock        obs.Clock
-	nodes        int
-	roundUs      *obs.Histogram
-	nodeUs       *obs.Histogram
-	shardStepUs  *obs.Histogram
-	shardMergeUs *obs.Histogram
-	t0           time.Duration
+	reg         *obs.Metrics
+	clock       obs.Clock
+	nodes       int
+	roundUs     *obs.Histogram
+	nodeUs      *obs.Histogram
+	shardStepUs *obs.Histogram
+	t0, phase0  time.Duration
 }
 
 // newRunMetrics resolves the metrics hook for a run, or nil.
@@ -169,13 +170,12 @@ func newRunMetrics(o *obs.Obs, nodes int) *runMetrics {
 	}
 	reg := o.Metrics
 	return &runMetrics{
-		reg:          reg,
-		clock:        o.ResolveClock(),
-		nodes:        nodes,
-		roundUs:      reg.Histogram(MetricRoundUs, "wall microseconds per round (sync) or schedule step (async)", nil),
-		nodeUs:       reg.Histogram(MetricRoundNodeUs, "wall microseconds per node per round", nil),
-		shardStepUs:  reg.Histogram(MetricShardStepUs, "per-shard wall microseconds in the compute phase", nil),
-		shardMergeUs: reg.Histogram(MetricShardMergeUs, "per-shard wall microseconds in the async merge phase", nil),
+		reg:         reg,
+		clock:       o.ResolveClock(),
+		nodes:       nodes,
+		roundUs:     reg.Histogram(MetricRoundUs, "wall microseconds per round (sync) or schedule step (async)", nil),
+		nodeUs:      reg.Histogram(MetricRoundNodeUs, "wall microseconds per node per round", nil),
+		shardStepUs: reg.Histogram(MetricShardStepUs, "per-shard wall microseconds in the compute phase", nil),
 	}
 }
 
@@ -192,8 +192,18 @@ func (rm *runMetrics) shardPhase(stats []stepStats, h *obs.Histogram) {
 	}
 }
 
+// phaseStart stamps the start of a compute phase run inline on the
+// coordinator (the async firing pass).
+func (rm *runMetrics) phaseStart() { rm.phase0 = rm.clock.Now() }
+
+// phaseEnd observes the inline phase begun at phaseStart as one shard's
+// compute-phase sample.
+func (rm *runMetrics) phaseEnd() {
+	rm.shardStepUs.Observe(float64(rm.clock.Now()-rm.phase0) / float64(time.Microsecond))
+}
+
 // dropShardDurs clears phase durations without observing them, for phases
-// (probe, initial send) outside the step/merge histograms.
+// (the initial send) outside the step histogram.
 func (rm *runMetrics) dropShardDurs(stats []stepStats) {
 	for w := range stats {
 		stats[w].dur = 0

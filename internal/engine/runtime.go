@@ -1,12 +1,13 @@
 package engine
 
-// runtime.go is the shard-owned runtime layer every executor runs on: one
-// place that partitions the node set into locality-aware shards, owns the
-// per-shard telemetry counters and scratch buffers, and drives the
-// worker/barrier fan-out loop. The synchronous driver (router.go) and the
-// asynchronous driver (async_driver.go) differ only in the phases they
-// plug in; the shard assignment, the counter merge and the barrier
-// machinery live here and nowhere else.
+// runtime.go is the shard-owned runtime layer the synchronous executors
+// run on: one place that partitions the node set into locality-aware
+// shards, owns the per-shard telemetry counters and scratch buffers, and
+// drives the worker/barrier fan-out loop. The synchronous driver
+// (router.go) plugs its phases in; the shard assignment, the counter merge
+// and the barrier machinery live here and nowhere else. The asynchronous
+// driver (async_driver.go) fires on one shard without the runtime and
+// shares only its stepStats shape.
 //
 // Shards are contiguous rank ranges of the graph's BFS locality order
 // (graph.BFSOrder via port.Locality, cached per numbering): shard w owns
@@ -22,8 +23,7 @@ package engine
 //
 //   - inline: no goroutines; run() executes every shard's phase on the
 //     caller, in shard order. This is ExecutorSeq — the W=1 degenerate
-//     case of the sharded path — and the async driver below the sharding
-//     threshold.
+//     case of the sharded path.
 //   - spawned: one persistent worker goroutine per shard, parked on a
 //     command channel, separated from the coordinator by a WaitGroup
 //     barrier per phase. Workers touch only their own shard's stats (and
@@ -82,7 +82,7 @@ type stepStats struct {
 	dur time.Duration
 	// scratch is the shard's canonicalisation buffer (capacity = max
 	// degree), reused across nodes and rounds by the synchronous driver;
-	// the async driver keeps its frontier scratch in asyncBufs instead.
+	// the async driver keeps its frontier scratch in asyncState instead.
 	scratch []machine.Message
 	// events is the shard's journal buffer for the current phase: only
 	// the owning shard appends during a phase, and the coordinator's
@@ -129,25 +129,6 @@ func (rt *shardRuntime) init(loc *port.Locality, workers int) {
 func (rt *shardRuntime) span(w int) (lo, hi int) {
 	n := len(rt.loc.Order)
 	return w * n / rt.workers, (w + 1) * n / rt.workers
-}
-
-// nodes returns the node ids shard w owns, in BFS-locality order. The
-// slice aliases the cached locality order: callers must not modify it.
-func (rt *shardRuntime) nodes(w int) []int32 {
-	lo, hi := rt.span(w)
-	return rt.loc.Order[lo:hi]
-}
-
-// ownerTable builds the node → shard assignment of this runtime's spans.
-func (rt *shardRuntime) ownerTable() []int32 {
-	owner := make([]int32, len(rt.loc.Order))
-	for w := 0; w < rt.workers; w++ {
-		lo, hi := rt.span(w)
-		for r := lo; r < hi; r++ {
-			owner[rt.loc.Order[r]] = int32(w)
-		}
-	}
-	return owner
 }
 
 // start pins the driver and, when spawn is set, launches one persistent

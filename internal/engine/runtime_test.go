@@ -10,9 +10,8 @@ import (
 )
 
 // TestRuntimeShardsMatchShardByBFS pins the runtime's shard assignment to
-// the public graph.ShardByBFS contract: the nodes shard w owns are exactly
-// the w-th contiguous slice of the BFS locality order, for every executor
-// that runs on the runtime. weakrun's cut-link telemetry recomputes the
+// the public graph.ShardByBFS contract: the nodes shard w owns — the
+// locality order over its span — are exactly ShardByBFS's w-th shard. weakrun's cut-link telemetry recomputes the
 // partition through graph.ShardByBFS, so this equality is what keeps the
 // reported boundaries honest.
 func TestRuntimeShardsMatchShardByBFS(t *testing.T) {
@@ -34,7 +33,8 @@ func TestRuntimeShardsMatchShardByBFS(t *testing.T) {
 			}
 			seen := 0
 			for w := 0; w < rt.workers; w++ {
-				nodes := rt.nodes(w)
+				lo, hi := rt.span(w)
+				nodes := rt.loc.Order[lo:hi]
 				if len(nodes) != len(want[w]) {
 					t.Fatalf("%v workers=%d shard %d: %d nodes, want %d",
 						g, workers, w, len(nodes), len(want[w]))
@@ -49,15 +49,6 @@ func TestRuntimeShardsMatchShardByBFS(t *testing.T) {
 			}
 			if seen != g.N() {
 				t.Fatalf("%v workers=%d: shards cover %d of %d nodes", g, workers, seen, g.N())
-			}
-			owner := rt.ownerTable()
-			for w := 0; w < rt.workers; w++ {
-				for _, v := range rt.nodes(w) {
-					if owner[v] != int32(w) {
-						t.Fatalf("%v workers=%d: ownerTable[%d]=%d, want %d",
-							g, workers, v, owner[v], w)
-					}
-				}
 			}
 		}
 	}

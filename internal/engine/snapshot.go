@@ -147,9 +147,9 @@ func restoreGenState(gen any, blob []byte, what string) error {
 	}
 }
 
-// capture snapshots an async run at the end of step t. healed is the
-// healer's cumulative count (0 without one); res holds the counters.
-func (as *asyncState) capture(t int, res *Result, healed int64, sched schedule.Schedule) *Snapshot {
+// capture snapshots an async run at the end of step t; res holds the
+// counters.
+func (as *asyncState) capture(t int, res *Result, sched schedule.Schedule) *Snapshot {
 	links := len(as.queues)
 	snap := &Snapshot{
 		Step:         t,
@@ -166,7 +166,7 @@ func (as *asyncState) capture(t int, res *Result, healed int64, sched schedule.S
 		Recoveries:   res.Recoveries,
 		Corruptions:  res.Corruptions,
 		Retransmits:  res.Retransmits,
-		Healed:       healed,
+		Healed:       res.Healed,
 		SchedState:   genState(sched),
 	}
 	if as.alive != nil {
@@ -233,6 +233,7 @@ func (as *asyncState) restore(snap *Snapshot, res *Result) (int, error) {
 	res.Drops, res.Dups = snap.Drops, snap.Dups
 	res.Crashes, res.Recoveries = snap.Crashes, snap.Recoveries
 	res.Corruptions, res.Retransmits = snap.Corruptions, snap.Retransmits
+	res.Healed = snap.Healed
 	active := 0
 	for v := 0; v < n; v++ {
 		if !as.halted[v] {

@@ -172,9 +172,8 @@ type Plan interface {
 	// link l at step t. The engine calls it once per delivered message, in
 	// deterministic (link, queue-position) order — always from a single
 	// goroutine: the async executor delivers a plan run's messages in one
-	// pass over the links on its coordinator, before its workers fire, so
-	// a Plan's random stream stays sequential (and the sharded run
-	// bit-identical) without any locking in the Plan.
+	// pass over the links, before the step's firings, so a Plan's random
+	// stream stays sequential without any locking in the Plan.
 	Filter(t int, link int) Fate
 	// Settled reports that the plan will never again perturb the run: no
 	// future drop, duplication, corruption, retransmission, crash or
@@ -189,9 +188,8 @@ type Plan interface {
 // with the genuine payload (m0 for a silent sender) and delivers the
 // returned rewrite in its place. The call happens on the same goroutine
 // and in the same (link, queue-position) order as the Filter that drew the
-// fate — both run on the coordinator during its delivery pass — so a
-// Corrupter's random stream stays sequential and the run bit-identical
-// across worker counts.
+// fate — both run during the executor's delivery pass — so a Corrupter's
+// random stream stays sequential and the run reproducible from its seed.
 type Corrupter interface {
 	Plan
 	// Corrupt returns the payload delivered in place of msg on link l at

@@ -684,8 +684,8 @@ func (p *partitionPlan) RestoreState(b []byte) error {
 // re-receives its frontier instead of waiting for neighbours to fire
 // again, so it rejoins cleanly. On its own the plan injects nothing —
 // compose it with a crash or pause plan. Backoff delays are drawn from
-// the plan's RNG in ascending global link order on the engine's
-// coordinator, so sharded runs stay bit-identical.
+// the plan's RNG in ascending global link order, so seeded runs are
+// reproducible.
 func Retransmit(seed int64, r int) Plan { return RetransmitFor(seed, r, DefaultHorizon) }
 
 // RetransmitFor is Retransmit with an explicit horizon; retransmissions

@@ -6,8 +6,8 @@ import "sort"
 // graph across workers. A contiguous slice of a breadth-first order is a
 // connected, roughly ball-shaped patch of the graph, so partitioning nodes
 // into contiguous slices of BFSOrder gives shards whose boundaries cut few
-// links — the property the engine's sharded executors rely on to keep
-// cross-shard message traffic (and with it staging-ring pressure) low.
+// links — the property the engine's sharded pool executor relies on to
+// keep cross-shard message traffic low.
 
 // BFSOrder returns a breadth-first ordering of all nodes: the traversal
 // starts at a maximum-degree root (ties broken toward the lowest id — hubs
@@ -85,8 +85,8 @@ func ShardByBFS(g *Graph, w int) [][]int {
 }
 
 // CutLinks counts the directed links (u→v with u, v adjacent) whose
-// endpoints are assigned to different shards — the cross-shard traffic a
-// sharded executor pays staging costs for. shardOf maps each node to its
+// endpoints are assigned to different shards — the messages a sharded
+// executor writes across shard boundaries. shardOf maps each node to its
 // shard id.
 func CutLinks(g *Graph, shardOf []int) int {
 	cut := 0

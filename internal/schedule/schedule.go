@@ -27,14 +27,12 @@
 package schedule
 
 // View is the read-only feedback a Schedule may consult when deciding a
-// step. It is implemented by the engine over its live run state — state
-// that the engine's sharded executors also hand to worker goroutines — so
-// a View is only valid inside the Step call it was passed to, where the
-// engine guarantees the run is quiescent (every worker parked at a
-// barrier). Schedules must treat it as strictly read-only and must not
-// retain it across steps; under that contract the same View is safely
-// shareable between the scheduler and the workers, and the sharded
-// executor stays bit-identical to the single-threaded one.
+// step. It is implemented by the engine over its live run state, so a
+// View is only valid inside the Step call it was passed to, where the
+// engine guarantees the run is quiescent: the async executor calls Step
+// between steps, from the goroutine that runs the whole step loop.
+// Schedules must treat it as strictly read-only and must not retain it
+// across steps.
 type View interface {
 	// Nodes returns the node count of the run.
 	Nodes() int

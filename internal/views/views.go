@@ -7,15 +7,16 @@
 // v's degree and, for each in-port i, the out-port the neighbour used and
 // that neighbour's depth-(t−1) view. Two nodes have equal depth-t views
 // exactly when no VV algorithm can distinguish them within t rounds — that
-// is, when they are t-round bisimilar in K₊,₊. The package's tests verify
-// this equivalence against internal/bisim's bounded refinement, connecting
-// the graph-theoretic and the modal-logic perspectives computationally.
+// is, when they are t-round bisimilar in K₊,₊. Classes, StabilizationDepth
+// and Symmetric therefore compute the view partition with internal/bisim's
+// refiner on K₊,₊; the package's tests check that equivalence against the
+// explicit view trees of Views, connecting the graph-theoretic and the
+// modal-logic perspectives computationally.
 package views
 
 import (
-	"fmt"
-	"strings"
-
+	"weakmodels/internal/bisim"
+	"weakmodels/internal/kripke"
 	"weakmodels/internal/port"
 	"weakmodels/internal/term"
 )
@@ -58,79 +59,35 @@ func Views(p *port.Numbering, depth int) []term.Term {
 
 // Classes groups nodes by depth-t view equality, returning a class id per
 // node (dense, by first occurrence). Unlike Views it never materialises the
-// view trees: classes are refined level by level (hash consing), so deep
+// view trees: it is t rounds of bisimulation refinement on K₊,₊, so deep
 // views — whose explicit trees grow like Δ^t — cost only O(t·m) time.
 func Classes(p *port.Numbering, depth int) []int {
-	g := p.Graph()
-	n := g.N()
-	cur := make([]int, n)
-	ids := make(map[string]int)
-	for v := 0; v < n; v++ {
-		key := fmt.Sprintf("d%d", g.Degree(v))
-		id, ok := ids[key]
-		if !ok {
-			id = len(ids)
-			ids[key] = id
-		}
-		cur[v] = id
+	model := kripke.FromPorts(p, kripke.VariantPP)
+	if depth > 0 {
+		return bisim.Compute(model, bisim.Options{MaxRounds: depth})
 	}
-	for d := 1; d <= depth; d++ {
-		next := make([]int, n)
-		level := make(map[string]int)
-		var sb strings.Builder
-		for v := 0; v < n; v++ {
-			sb.Reset()
-			fmt.Fprintf(&sb, "d%d", g.Degree(v))
-			for i := 1; i <= g.Degree(v); i++ {
-				src := p.Source(v, i)
-				fmt.Fprintf(&sb, "|%d:%d:%d", i, src.Index, cur[src.Node])
-			}
-			key := sb.String()
-			id, ok := level[key]
-			if !ok {
-				id = len(level)
-				level[key] = id
-			}
-			next[v] = id
-		}
-		cur = next
+	// Zero rounds see only the degree valuation (MaxRounds 0 would mean
+	// refinement to fixpoint).
+	ids := make([]int, p.Graph().N())
+	for v, c := range model.CSR().ValClass() {
+		ids[v] = int(c)
 	}
-	return cur
+	return ids
 }
 
 // StabilizationDepth returns the smallest t at which the view partition
-// stops refining (bounded by n, per the classical view theory: views of
-// depth n determine views of all depths). This is the locality radius of
-// the instance.
+// stops refining (below n, per the classical view theory: views of depth
+// n determine views of all depths). This is the locality radius of the
+// instance.
 func StabilizationDepth(p *port.Numbering) int {
-	g := p.Graph()
-	prev := countClasses(Classes(p, 0))
-	for t := 1; t <= g.N()+1; t++ {
-		cur := countClasses(Classes(p, t))
-		if cur == prev {
-			return t - 1
-		}
-		prev = cur
-	}
-	return g.N() + 1
-}
-
-func countClasses(ids []int) int {
-	max := -1
-	for _, id := range ids {
-		if id > max {
-			max = id
-		}
-	}
-	return max + 1
+	return bisim.RoundsToStable(kripke.FromPorts(p, kripke.VariantPP), false)
 }
 
 // Symmetric reports whether all nodes of (G,p) share the same depth-n view
 // — the classical criterion for total symmetry (all nodes bisimilar in
 // K₊,₊, Lemma 15's conclusion).
 func Symmetric(p *port.Numbering) bool {
-	ids := Classes(p, p.Graph().N())
-	return countClasses(ids) <= 1
+	return bisim.Compute(kripke.FromPorts(p, kripke.VariantPP), bisim.Options{}).NumClasses() <= 1
 }
 
 // TruncatedViewSize returns the term size of a node's depth-t view — the

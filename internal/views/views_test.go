@@ -23,8 +23,10 @@ func TestViewDepthZeroIsDegree(t *testing.T) {
 }
 
 // TestViewsMatchBoundedBisimulation is the package's reason to exist: the
-// depth-t view partition must equal t-round bisimulation on K₊,₊ — the
-// classical views of Yamashita–Kameda meet the paper's modal-logic lens.
+// depth-t view partition, read off the explicit view trees of Views, must
+// equal t-round bisimulation on K₊,₊ — the classical views of
+// Yamashita–Kameda meet the paper's modal-logic lens. Classes, which
+// computes the partition by that refinement, must agree with the trees.
 func TestViewsMatchBoundedBisimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	graphs := []*graph.Graph{
@@ -37,10 +39,12 @@ func TestViewsMatchBoundedBisimulation(t *testing.T) {
 			p := port.Random(g, rng)
 			model := kripke.FromPorts(p, kripke.VariantPP)
 			for depth := 0; depth <= 4; depth++ {
-				viewIDs := Classes(p, depth)
+				trees := Views(p, depth)
+				classIDs := Classes(p, depth)
+				part := bisim.Compute(model, bisim.Options{MaxRounds: depth})
 				for u := 0; u < g.N(); u++ {
 					for v := u + 1; v < g.N(); v++ {
-						sameView := viewIDs[u] == viewIDs[v]
+						sameView := trees[u].Encode() == trees[v].Encode()
 						var sameBisim bool
 						if depth == 0 {
 							// Zero rounds: only the degree is visible
@@ -48,12 +52,15 @@ func TestViewsMatchBoundedBisimulation(t *testing.T) {
 							// so compare against the valuation directly).
 							sameBisim = g.Degree(u) == g.Degree(v)
 						} else {
-							part := bisim.Compute(model, bisim.Options{MaxRounds: depth})
 							sameBisim = part.Same(u, v)
 						}
 						if sameView != sameBisim {
 							t.Fatalf("%v depth %d nodes %d,%d: view-equal=%v but %d-round-bisimilar=%v",
 								g, depth, u, v, sameView, depth, sameBisim)
+						}
+						if sameClass := classIDs[u] == classIDs[v]; sameClass != sameView {
+							t.Fatalf("%v depth %d nodes %d,%d: Classes-equal=%v but view-equal=%v",
+								g, depth, u, v, sameClass, sameView)
 						}
 					}
 				}
