@@ -142,10 +142,10 @@ func run(args []string, out io.Writer) error {
 		if *workers < 1 {
 			return fmt.Errorf("-workers must be ≥ 1, got %d", *workers)
 		}
-		// -replay picks the executor from the recording, so -workers stands
-		// on its own there.
+		// -replay takes the executor from an async recording, so there the
+		// check waits until the recording is loaded.
 		if exec != engine.ExecutorPool && *replayPath == "" {
-			return fmt.Errorf("-workers is only meaningful with -executor=pool (got -executor=%v)", exec)
+			return errWorkers(exec)
 		}
 	}
 	sched, err := schedule.Parse(*schedSpec, *seed)
@@ -265,6 +265,9 @@ func run(args []string, out io.Writer) error {
 		if !rec.Sync {
 			exec = engine.ExecutorAsync
 			schedName = "replay"
+		}
+		if set["workers"] && exec != engine.ExecutorPool {
+			return errWorkers(exec)
 		}
 		if rec.HasPlan {
 			faultsName = "replay"
@@ -395,6 +398,11 @@ func run(args []string, out io.Writer) error {
 		return engine.RenderTrace(out, m, res)
 	}
 	return nil
+}
+
+// errWorkers rejects -workers under an executor without a worker pool.
+func errWorkers(exec engine.Executor) error {
+	return fmt.Errorf("-workers is only meaningful with -executor=pool (got -executor=%v)", exec)
 }
 
 // loadRecording opens and decodes a WRPLAY02 flight recording. Load

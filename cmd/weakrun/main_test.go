@@ -548,7 +548,7 @@ func TestRunCheckpointReplay(t *testing.T) {
 	replayJournal := filepath.Join(dir, "replay.jsonl")
 	var rep strings.Builder
 	if err := run([]string{"-alg", "max-consensus", "-graph", "torus:4x4",
-		"-replay", recPath, "-journal", replayJournal, "-workers", "3"}, &rep); err != nil {
+		"-replay", recPath, "-journal", replayJournal}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep.String(), "replayed "+recPath+": steps 0..") {
@@ -605,6 +605,42 @@ func TestRunCheckpointReplay(t *testing.T) {
 	}
 	if len(fromJ) == 0 || !strings.HasSuffix(string(liveJ), string(fromJ)) {
 		t.Error("mid-run replay journal is not a suffix of the live journal")
+	}
+}
+
+// TestRunReplayWorkers: -workers on a replay follows the executor the
+// replay runs on, as on a live run. An async recording sets the async
+// executor, which rejects it; a synchronous recording replays on the
+// -executor given, so pool accepts it and seq rejects it.
+func TestRunReplayWorkers(t *testing.T) {
+	dir := t.TempDir()
+	asyncRec := filepath.Join(dir, "async.wrplay")
+	var sb strings.Builder
+	if err := run(hostileArgs("-checkpoint", asyncRec), &sb); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-alg", "max-consensus", "-graph", "torus:4x4",
+		"-replay", asyncRec, "-workers", "3"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "only meaningful with -executor=pool (got -executor=async)") {
+		t.Errorf("-workers on an async replay: got %v, want the pool-only error", err)
+	}
+
+	syncRec := filepath.Join(dir, "sync.wrplay")
+	syncArgs := []string{"-alg", "odd-odd", "-graph", "torus:4x4"}
+	var live strings.Builder
+	if err := run(append(syncArgs, "-checkpoint", syncRec), &live); err != nil {
+		t.Fatal(err)
+	}
+	var rep strings.Builder
+	if err := run(append(syncArgs, "-replay", syncRec, "-executor", "pool", "-workers", "2"), &rep); err != nil {
+		t.Fatalf("-executor pool -workers 2 on a sync replay: %v", err)
+	}
+	if !strings.Contains(rep.String(), "replayed "+syncRec) {
+		t.Errorf("missing replay banner:\n%s", rep.String())
+	}
+	err = run(append(syncArgs, "-replay", syncRec, "-workers", "2"), &sb)
+	if err == nil || !strings.Contains(err.Error(), "only meaningful with -executor=pool (got -executor=seq)") {
+		t.Errorf("-workers on a seq replay: got %v, want the pool-only error", err)
 	}
 }
 

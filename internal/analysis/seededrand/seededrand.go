@@ -2,9 +2,9 @@
 // the engine-path packages (analysis.EnginePath).
 //
 // The engine's replay and equivalence guarantees hold only if every
-// random draw comes from a seeded, checkpointable stream (internal/xrand
-// wrapped in rand.New) and every duration comes from an injected
-// obs.Clock. The analyzer reports, inside engine-path packages:
+// random draw comes from a seeded, checkpointable stream (internal/xrand,
+// directly or wrapped in rand.New) and every duration comes from an
+// injected obs.Clock. The analyzer reports, inside engine-path packages:
 //
 //   - calls to math/rand (and math/rand/v2) package-level functions,
 //     which share the global unseedable source: rand.Intn, rand.Float64,
@@ -85,7 +85,7 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				pass.Reportf(sel.Pos(),
-					"%s.%s draws from the global unseeded source in engine-path package %q: use internal/xrand with rand.New (or annotate //weakvet:rand <why>)",
+					"%s.%s draws from the global unseeded source in engine-path package %q: use internal/xrand, directly or wrapped in rand.New (or annotate //weakvet:rand <why>)",
 					pathBase(pkgPath), sel.Sel.Name, pass.PkgShortName())
 			case "time":
 				if !wallClock[sel.Sel.Name] {

@@ -42,20 +42,21 @@ type asyncDriver struct {
 	stats [1]stepStats
 }
 
-// quota is the number of in-flight messages the schedule delivers on
-// link l this step; deliver clamps it to what is in flight.
-func (d *asyncDriver) quota(l int32) int {
-	if d.dec.DeliverAll {
-		return math.MaxInt
-	}
-	return int(d.dec.Deliver[l])
-}
-
 // deliverLinks is the fate pass of step t: this step's deliveries on every
-// link, in link id order.
+// link, in link id order. deliver clamps each count to what is in flight
+// and does nothing for a count ≤ 0, so the links the schedule leaves alone
+// are skipped without a call.
 func (d *asyncDriver) deliverLinks(t int) {
-	for l := range d.as.queues {
-		d.as.deliver(int32(l), d.quota(int32(l)), t, d.res)
+	if d.dec.DeliverAll {
+		for l := range d.as.queues {
+			d.as.deliver(int32(l), math.MaxInt, t, d.res)
+		}
+		return
+	}
+	for l, k := range d.dec.Deliver {
+		if k > 0 {
+			d.as.deliver(int32(l), int(k), t, d.res)
+		}
 	}
 }
 

@@ -54,7 +54,6 @@ type msgFaults struct {
 	p       float64
 	horizon int
 	src     *xrand.Source
-	rng     *rand.Rand
 	last    int
 }
 
@@ -75,7 +74,6 @@ func (f *msgFaults) Name() string { return fmt.Sprintf("%s:%g", f.kind, f.p) }
 
 func (f *msgFaults) Begin(top Topology) {
 	f.src = xrand.NewSource(f.seed)
-	f.rng = rand.New(f.src)
 	f.last = 0
 }
 
@@ -101,7 +99,7 @@ func (f *msgFaults) Filter(t int, link int) Fate {
 	if t > f.horizon {
 		return FateDeliver
 	}
-	if f.rng.Float64() < f.p {
+	if f.src.Float64() < f.p {
 		return f.fate
 	}
 	return FateDeliver
@@ -362,7 +360,6 @@ type adversaryPlan struct {
 	crashes *crashPlan
 	hubLink []bool
 	src     *xrand.Source
-	rng     *rand.Rand
 	last    int
 }
 
@@ -371,7 +368,6 @@ func (a *adversaryPlan) Name() string { return fmt.Sprintf("adversary:%d", a.bud
 func (a *adversaryPlan) Begin(top Topology) {
 	a.last = 0
 	a.src = xrand.NewSource(a.seed)
-	a.rng = rand.New(a.src)
 	n := top.Nodes()
 	targets := make([]int, n)
 	for v := range targets {
@@ -416,7 +412,7 @@ func (a *adversaryPlan) Filter(t int, link int) Fate {
 	if t > a.horizon || !a.hubLink[link] {
 		return FateDeliver
 	}
-	if a.rng.Float64() < adversaryHubDropP {
+	if a.src.Float64() < adversaryHubDropP {
 		return FateDrop
 	}
 	return FateDeliver
@@ -473,8 +469,8 @@ type byzantinePlan struct {
 	horizon int
 
 	src  *xrand.Source
-	rng  *rand.Rand
-	prev []string // per link: the last genuine payload displaced by a corruption
+	rng  *rand.Rand // src for Corrupt's Intn draws
+	prev []string   // per link: the last genuine payload displaced by a corruption
 	last int
 }
 
@@ -526,7 +522,7 @@ func (b *byzantinePlan) Filter(t int, link int) Fate {
 	if t > b.horizon {
 		return FateDeliver
 	}
-	if b.rng.Float64() < b.p {
+	if b.src.Float64() < b.p {
 		return FateCorrupt
 	}
 	return FateDeliver

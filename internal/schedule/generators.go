@@ -64,7 +64,7 @@ type randomSubset struct {
 	seed int64
 	p    float64
 	src  *xrand.Source
-	rng  *rand.Rand
+	pick []bool // per link: this step's coin
 }
 
 func (r *randomSubset) Name() string { return fmt.Sprintf("random:%g", r.p) }
@@ -82,7 +82,7 @@ func (r *randomSubset) Dilation(nodes int) int {
 
 func (r *randomSubset) Begin(nodes, links int) {
 	r.src = xrand.NewSource(r.seed)
-	r.rng = rand.New(r.src)
+	r.pick = make([]bool, links)
 }
 
 func (r *randomSubset) SnapshotState() []byte {
@@ -99,13 +99,27 @@ func (r *randomSubset) RestoreState(b []byte) error {
 	return nil
 }
 
+// Step draws the node coins, then the link coins, one word each in id
+// order, and reads InFlight only for the picked links. The picks are
+// compacted first, a block at a time, in a loop without a data-dependent
+// branch: a fair coin is what branch prediction cannot learn.
+//
+//weakvet:noalloc
 func (r *randomSubset) Step(t int, view View, dec *Decision) {
-	for v := 0; v < view.Nodes(); v++ {
-		dec.Activate[v] = r.rng.Float64() < r.p
-	}
-	for l := 0; l < view.Links(); l++ {
-		if r.rng.Float64() < r.p {
-			dec.Deliver[l] = int32(view.InFlight(l))
+	r.src.Bools(dec.Activate[:view.Nodes()], r.p)
+	pick := r.pick[:view.Links()]
+	r.src.Bools(pick, r.p)
+	var picked [256]int32
+	for lo := 0; lo < len(pick); lo += len(picked) {
+		n := 0
+		for l, ok := range pick[lo:min(lo+len(picked), len(pick))] {
+			picked[n] = int32(lo + l)
+			if ok {
+				n++
+			}
+		}
+		for _, l := range picked[:n] {
+			dec.Deliver[l] = int32(view.InFlight(int(l)))
 		}
 	}
 }
@@ -127,7 +141,6 @@ type boundedStaleness struct {
 	seed int64
 	k    int
 	src  *xrand.Source
-	rng  *rand.Rand
 }
 
 func (b *boundedStaleness) Name() string { return fmt.Sprintf("staleness:%d", b.k) }
@@ -138,7 +151,6 @@ func (b *boundedStaleness) Dilation(nodes int) int { return 2 }
 
 func (b *boundedStaleness) Begin(nodes, links int) {
 	b.src = xrand.NewSource(b.seed)
-	b.rng = rand.New(b.src)
 }
 
 func (b *boundedStaleness) SnapshotState() []byte {
@@ -172,7 +184,7 @@ func (b *boundedStaleness) Step(t int, view View, dec *Decision) {
 		if f >= min+int64(b.k) {
 			continue // at the staleness cap: frozen until the slowest catch up
 		}
-		dec.Activate[v] = f == min || b.rng.Float64() < 0.5
+		dec.Activate[v] = f == min || b.src.Float64() < 0.5
 	}
 }
 

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,41 @@ func TestRandomSubsetSeededDeterminism(t *testing.T) {
 		for v := range a[i] {
 			if a[i][v] != b[i][v] {
 				t.Fatalf("step %d node %d: same seed diverged", i+1, v)
+			}
+		}
+	}
+}
+
+// RandomSubset must decide exactly what the per-element loop over a
+// rand.New(rand.NewSource(seed)) stream decides — one Float64 < p per
+// node, then one per link, delivering a picked link's whole queue — on
+// link counts around the block size of its pick compaction.
+func TestRandomSubsetMatchesPerElementCoins(t *testing.T) {
+	const nodes, seed, p = 7, 31, 0.4
+	for _, links := range []int{0, 1, 255, 256, 257, 700} {
+		view := newFakeView(nodes, links)
+		for l := range view.inFlight {
+			view.inFlight[l] = l % 4
+		}
+		s := RandomSubset(seed, p)
+		s.Begin(nodes, links)
+		dec := NewDecision(nodes, links)
+		ref := rand.New(rand.NewSource(seed))
+		for tt := 1; tt <= 5; tt++ {
+			step(s, tt, view, dec)
+			for v := 0; v < nodes; v++ {
+				if want := ref.Float64() < p; dec.Activate[v] != want {
+					t.Fatalf("links %d step %d: Activate[%d] = %v, want %v", links, tt, v, dec.Activate[v], want)
+				}
+			}
+			for l := 0; l < links; l++ {
+				want := int32(0)
+				if ref.Float64() < p {
+					want = int32(view.inFlight[l])
+				}
+				if dec.Deliver[l] != want {
+					t.Fatalf("links %d step %d: Deliver[%d] = %d, want %d", links, tt, l, dec.Deliver[l], want)
+				}
 			}
 		}
 	}
