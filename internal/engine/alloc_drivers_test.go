@@ -12,6 +12,7 @@ import (
 	"weakmodels/internal/graph"
 	"weakmodels/internal/machine"
 	"weakmodels/internal/port"
+	"weakmodels/internal/schedule"
 )
 
 // weakvetHotMachine is a constant-send machine that never halts and
@@ -40,12 +41,13 @@ func weakvetHotMachine(delta int) machine.Machine {
 	}
 }
 
-// weakvetHotState builds a single-shard run over a torus, primed so the
-// hot-path drivers below can run rounds forever without allocating.
-func weakvetHotState() *runState {
+// weakvetHotState builds a run over a torus on the given number of
+// shards, primed so the hot-path drivers below can run rounds forever
+// without allocating.
+func weakvetHotState(workers int) *runState {
 	g := graph.Torus(8, 8)
 	p := port.Canonical(g)
-	rs, _, err := newRunState(weakvetHotMachine(g.MaxDegree()), g, p, Options{}, 1)
+	rs, _, err := newRunState(weakvetHotMachine(g.MaxDegree()), g, p, Options{}, workers)
 	if err != nil {
 		panic(err)
 	}
@@ -54,37 +56,60 @@ func weakvetHotState() *runState {
 
 var weakvetAllocDrivers = map[string]func() func(){
 	"(*runState).sendRank": func() func() {
-		rs := weakvetHotState()
-		st := &rs.rt.stats[0]
+		rs := weakvetHotState(1)
+		sh := &rs.shards[0]
 		n := len(rs.order)
 		return func() {
 			for r := 0; r < n; r++ {
-				rs.sendRank(r, rs.cur, st)
+				rs.sendRank(r, rs.cur, sh)
 			}
-			st.bytes = 0
+			sh.bytes = 0
 		}
 	},
 	"(*runState).stepShard": func() func() {
-		rs := weakvetHotState()
-		rs.rt.start(rs, false)
-		rs.rt.run(phaseSend) // fill the first arena so steps consume real inboxes
-		st := &rs.rt.stats[0]
-		n := len(rs.order)
+		rs := weakvetHotState(1)
+		rs.run(false) // fill the first arena so steps consume real inboxes
+		sh := &rs.shards[0]
 		return func() {
-			rs.stepShard(0, n, st)
+			rs.stepShard(sh)
 			rs.swap()
-			st.bytes, st.newHalts = 0, 0
+			sh.bytes, sh.newHalts = 0, 0
 		}
 	},
-	"(*shardRuntime).fold": func() func() {
-		var rt shardRuntime
-		rt.init(port.Canonical(graph.Torus(8, 8)).Locality(), 4)
+	"(*runState).fold": func() func() {
+		rs := weakvetHotState(4)
 		return func() {
-			for w := range rt.stats {
-				rt.stats[w].bytes = int64(w)
-				rt.stats[w].newHalts = w
+			for w := range rs.shards {
+				rs.shards[w].bytes = int64(w)
+				rs.shards[w].newHalts = w
 			}
-			rt.fold()
+			rs.fold()
+		}
+	},
+	"(*asyncState).fire": func() func() {
+		// Steady steps under schedule.Synchronous with no journal: every
+		// queue stays within its initial capacity of 2.
+		g := graph.Torus(8, 8)
+		p := port.Canonical(g)
+		as, _, err := newAsyncState(weakvetHotMachine(g.MaxDegree()), g, p, Options{})
+		if err != nil {
+			panic(err)
+		}
+		n, links := g.N(), len(as.queues)
+		sched := schedule.Synchronous()
+		sched.Begin(n, links)
+		as.dec = schedule.NewDecision(n, links)
+		sched.Step(1, asyncView{as: as}, as.dec)
+		for v := 0; v < n; v++ {
+			as.emit(v, 0)
+		}
+		var res Result
+		t := 0
+		return func() {
+			t++
+			as.deliverLinks(t, &res)
+			as.fire(t)
+			as.bytes = 0
 		}
 	},
 }

@@ -179,9 +179,15 @@ type asyncState struct {
 	corrupt fault.Corrupter
 	guard   machine.MessageGuard
 
-	// jr is the run's journal, nil when no sink is attached. The firing
-	// pass appends fire/halt events to its stepStats buffer; everything
-	// else is buffered in global order as it happens (see journal.go).
+	// dec is the schedule's decision for the current step. bytes and
+	// newHalts count the message bytes consumed and the nodes halted by
+	// the step's firing pass, drained by the driver after it.
+	dec      *schedule.Decision
+	bytes    int64
+	newHalts int
+
+	// jr is the run's journal, nil when no sink is attached. Every event
+	// is emitted as it happens, in journal order (see journal.go).
 	jr *journal
 }
 
@@ -291,7 +297,7 @@ func (as *asyncState) emit(v, step int) {
 // rewrite of the genuine payload, a dup inserts a copy at the cursor — and
 // counted in res. A plan's Filter and Corrupt streams must be drawn in
 // global (link, queue-position) order, so the driver calls deliver from
-// one pass over the links in id order (asyncDriver.deliverLinks).
+// one pass over the links in id order (deliverLinks).
 func (as *asyncState) deliver(l int32, k, t int, res *Result) {
 	q := &as.queues[l]
 	k = min(k, q.inFlight())
@@ -320,7 +326,7 @@ func (as *asyncState) deliver(l int32, k, t int, res *Result) {
 		}
 		q.dlv++
 		if as.jr != nil && f != fault.FateDeliver {
-			as.jr.coordEvent(obs.Event{
+			as.jr.event(obs.Event{
 				Step: int64(t), Kind: fateKind(f), Node: -1, Link: l, Arg: int64(i)})
 		}
 	}
@@ -334,9 +340,9 @@ func (as *asyncState) canFire(v int) bool {
 
 // consume pops node v's frontier into the inbox scratch, steps δ (halted
 // and crashed nodes discard — the liveness mask gates the δ-step, not the
-// drain), and checks halting. Callers have checked canFire and must follow
-// up with an emission of v's next messages.
-func (as *asyncState) consume(v int, st *stepStats) {
+// drain), and checks halting at step t. Callers have checked canFire and
+// must follow up with an emission of v's next messages.
+func (as *asyncState) consume(v, t int) {
 	lo, hi := as.off[v], as.off[v+1]
 	deg := int(hi - lo)
 	inbox := as.inbox[:deg]
@@ -346,13 +352,13 @@ func (as *asyncState) consume(v int, st *stepStats) {
 		if q.mail() == 0 {
 			as.ready[v]--
 		}
-		st.bytes += int64(len(msg))
+		as.bytes += int64(len(msg))
 		inbox[i] = msg
 	}
 	as.fires[v]++
 	if as.jr != nil {
-		st.events = append(st.events, obs.Event{
-			Step: int64(st.step), Kind: obs.KindFire, Node: int32(v), Link: -1,
+		as.jr.event(obs.Event{
+			Step: int64(t), Kind: obs.KindFire, Node: int32(v), Link: -1,
 			Arg: as.fires[v]})
 	}
 	if !as.halted[v] && !as.dead(v) {
@@ -367,10 +373,10 @@ func (as *asyncState) consume(v int, st *stepStats) {
 		if out, ok := as.m.Halted(as.states[v]); ok {
 			as.halted[v] = true
 			as.outputs[v] = out
-			st.newHalts++
+			as.newHalts++
 			if as.jr != nil {
-				st.events = append(st.events, obs.Event{
-					Step: int64(st.step), Kind: obs.KindHalt, Node: int32(v), Link: -1})
+				as.jr.event(obs.Event{
+					Step: int64(t), Kind: obs.KindHalt, Node: int32(v), Link: -1})
 			}
 		}
 	}
@@ -465,7 +471,7 @@ func (as *asyncState) applyFaults(t int, view asyncView, res *Result) (activeDel
 			as.alive[v] = false
 			res.Crashes++
 			if as.jr != nil {
-				as.jr.coordEvent(obs.Event{
+				as.jr.event(obs.Event{
 					Step: int64(t), Kind: obs.KindCrash, Node: int32(v), Link: -1})
 			}
 		}
@@ -477,7 +483,7 @@ func (as *asyncState) applyFaults(t int, view asyncView, res *Result) (activeDel
 		as.alive[v] = true
 		res.Recoveries++
 		if as.jr != nil {
-			as.jr.coordEvent(obs.Event{
+			as.jr.event(obs.Event{
 				Step: int64(t), Kind: obs.KindRecover, Node: int32(v), Link: -1,
 				Arg: int64(kind)})
 		}
@@ -511,7 +517,7 @@ func (as *asyncState) applyFaults(t int, view asyncView, res *Result) (activeDel
 			as.queues[l].push(as.steadyMessage(int32(l)), t)
 			res.Retransmits++
 			if as.jr != nil {
-				as.jr.coordEvent(obs.Event{
+				as.jr.event(obs.Event{
 					Step: int64(t), Kind: obs.KindRetransmit, Node: -1, Link: int32(l)})
 			}
 		}

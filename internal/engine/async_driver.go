@@ -10,15 +10,16 @@ package engine
 //   - fire, the firing pass: every activated node holding a full frontier
 //     fires, in id order. A message emitted at step t is not deliverable
 //     before step t+1 and each firing pops only its own in-links, so no
-//     firing observes another's writes within a step; the order is a memory
-//     walk, and the journal sorts each step's fire/halt events by node id.
+//     firing observes another's writes within a step.
 //
 // The schedule and the plan decide each step before its passes, and the
 // fixpoint probe, settlement-gated, runs after them as one loop over the
-// nodes. The driver runs on one shard and ExecutorAsync ignores
-// Options.Workers: a sharded firing pass was bit-identical but no faster,
-// because delivery stays serial and two barriers per step cost more than
-// the parallel firing saved (README, "Why async runs on one shard").
+// nodes. Every event goes to the journal as it happens, which is already
+// journal order (see journal.go). The driver runs on one shard and
+// ExecutorAsync ignores Options.Workers: a sharded firing pass was
+// bit-identical but no faster, because delivery stays serial and two
+// barriers per step cost more than the parallel firing saved (README,
+// "Why async runs on one shard").
 
 import (
 	"fmt"
@@ -32,42 +33,33 @@ import (
 	"weakmodels/internal/schedule"
 )
 
-// asyncDriver is the step-loop state of one asynchronous run.
-type asyncDriver struct {
-	as  *asyncState
-	dec *schedule.Decision
-	res *Result
-	// stats is the firing pass's byte/halt counters and journal buffer, in
-	// the stepStats shape the journal and the metrics hooks drain.
-	stats [1]stepStats
-}
-
 // deliverLinks is the fate pass of step t: this step's deliveries on every
 // link, in link id order. deliver clamps each count to what is in flight
 // and does nothing for a count ≤ 0, so the links the schedule leaves alone
 // are skipped without a call.
-func (d *asyncDriver) deliverLinks(t int) {
-	if d.dec.DeliverAll {
-		for l := range d.as.queues {
-			d.as.deliver(int32(l), math.MaxInt, t, d.res)
+func (as *asyncState) deliverLinks(t int, res *Result) {
+	if as.dec.DeliverAll {
+		for l := range as.queues {
+			as.deliver(int32(l), math.MaxInt, t, res)
 		}
 		return
 	}
-	for l, k := range d.dec.Deliver {
+	for l, k := range as.dec.Deliver {
 		if k > 0 {
-			d.as.deliver(int32(l), int(k), t, d.res)
+			as.deliver(int32(l), int(k), t, res)
 		}
 	}
 }
 
 // fire is the firing pass of step t: every activated node holding a full
 // frontier consumes it, steps and emits, in id order.
-func (d *asyncDriver) fire(t int) {
-	as, dec, st := d.as, d.dec, &d.stats[0]
-	st.step = t
+//
+//weakvet:noalloc
+func (as *asyncState) fire(t int) {
+	dec := as.dec
 	for v := range as.states {
 		if (dec.ActivateAll || dec.Activate[v]) && as.canFire(v) {
-			as.consume(v, st)
+			as.consume(v, t)
 			as.emit(v, t)
 		}
 	}
@@ -75,9 +67,9 @@ func (d *asyncDriver) fire(t int) {
 
 // atFixpoint is the fixpoint probe: the condition of nodeAtFixpoint holds
 // at every node.
-func (d *asyncDriver) atFixpoint() bool {
-	for v := range d.as.states {
-		if !d.as.nodeAtFixpoint(v) {
+func (as *asyncState) atFixpoint() bool {
+	for v := range as.states {
+		if !as.nodeAtFixpoint(v) {
 			return false
 		}
 	}
@@ -125,8 +117,7 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 	if active == 0 {
 		return res, nil
 	}
-	d := &asyncDriver{as: as, dec: schedule.NewDecision(n, links), res: res}
-	st := &d.stats[0]
+	as.dec = schedule.NewDecision(n, links)
 
 	sched.Begin(n, links)
 	var healer fault.Healer
@@ -162,8 +153,8 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 			return nil, fmt.Errorf("%w (step budget %d, machine %q on %v, schedule %s)",
 				ErrNoHalt, maxSteps, m.Name(), g, sched.Name())
 		}
-		d.dec.Reset()
-		sched.Step(t, view, d.dec)
+		as.dec.Reset()
+		sched.Step(t, view, as.dec)
 		if as.plan != nil {
 			active += as.applyFaults(t, view, res)
 		}
@@ -172,7 +163,7 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 		if healer != nil {
 			if h := healer.Healed(); h > res.Healed {
 				if as.jr != nil {
-					as.jr.coordEvent(obs.Event{
+					as.jr.event(obs.Event{
 						Step: int64(t), Kind: obs.KindHeal, Node: -1, Link: -1,
 						Arg: h - res.Healed})
 				}
@@ -183,21 +174,18 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 		if met != nil {
 			met.roundStart()
 		}
-		d.deliverLinks(t)
+		as.deliverLinks(t, res)
 		if met != nil {
 			met.phaseStart()
 		}
-		d.fire(t)
+		as.fire(t)
 		if met != nil {
 			met.phaseEnd()
 			met.roundEnd()
 		}
-		if as.jr != nil {
-			as.jr.flushStep(d.stats[:])
-		}
-		res.MessageBytes += st.bytes
-		active -= st.newHalts
-		st.bytes, st.newHalts = 0, 0
+		res.MessageBytes += as.bytes
+		active -= as.newHalts
+		as.bytes, as.newHalts = 0, 0
 		res.Rounds = t
 		if opts.RecordTrace {
 			res.Trace = append(res.Trace, append([]machine.State(nil), as.states...))
@@ -211,10 +199,8 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 			// the run: an unsettled plan could still m0-substitute or reset
 			// a configuration that currently looks steady.
 			if as.plan == nil || as.plan.Settled() {
-				fix := d.atFixpoint()
+				fix := as.atFixpoint()
 				if as.jr != nil {
-					// Emitted directly: step t's buffered events were already
-					// flushed above, and the probe runs on quiescent state.
 					verdict := int64(0)
 					if fix {
 						verdict = 1

@@ -12,28 +12,25 @@
 // (port.Routes), so message delivery is pure array indexing — no
 // Dest/NeighborIndex calls in any hot loop.
 //
-// On top of it sit two execution semantics. The synchronous one runs on a
-// shard-owned runtime (runtime.go) that partitions the node set into
-// locality-aware shards — contiguous slices of a breadth-first order grown
-// from a max-degree root (graph.ShardByBFS via port.Locality), so shard
-// boundaries cut few links — and owns everything sharding needs: the
-// per-shard telemetry counters and scratch buffers, the per-shard arena
-// regions, and the worker/barrier fan-out loop. The three Executor values
-// select between them:
+// On top of it sit two execution semantics, which the three Executor
+// values select between:
 //
 //   - ExecutorSeq and ExecutorPool run the synchronous semantics of
-//     Section 1.3 (router.go): all inboxes live in one flat
-//     double-buffered arena laid out in BFS rank order, so each shard's
-//     inbox slots form one contiguous per-shard region; a round is one
-//     combined pass per node — consume the inbox from the current arena,
-//     step, emit next-round messages into the other arena — with one
-//     barrier per round and the per-shard byte/halt counters folded at it.
-//     Multiset/Set canonicalisation reuses per-shard scratch buffers
-//     (machine.CanonicalInboxInto), so steady rounds allocate nothing.
-//     ExecutorSeq is the W=1 degenerate case running inline on the
-//     caller; ExecutorPool spawns ~GOMAXPROCS shard workers. Both are
-//     bit-identical — TestExecutorEquivalence asserts it across the
-//     experiment suite, including under -race.
+//     Section 1.3 (router.go) over locality-aware shards — contiguous
+//     slices of a breadth-first order grown from a max-degree root
+//     (graph.ShardByBFS via port.Locality), so shard boundaries cut few
+//     links. All inboxes live in one flat double-buffered arena laid out
+//     in BFS rank order, so each shard's inbox slots form one contiguous
+//     region; a round is one combined pass per node — consume the inbox
+//     from the current arena, step, emit next-round messages into the
+//     other arena — with one barrier per round and the shards' byte/halt
+//     counters folded at it. Multiset/Set canonicalisation reuses
+//     per-shard scratch buffers (machine.CanonicalInboxInto), so steady
+//     rounds allocate nothing. The run state owns its shards and, for
+//     ExecutorPool, a pool of ~GOMAXPROCS worker goroutines, one per
+//     shard; ExecutorSeq is the W=1 degenerate case running inline on the
+//     caller. Both are bit-identical — TestExecutorEquivalence asserts it
+//     across the experiment suite, including under -race.
 //
 //   - ExecutorAsync runs the asynchronous semantics (async.go, the Kahn
 //     core; async_driver.go, the driver). The global barrier is replaced
@@ -73,12 +70,15 @@
 // the machine (machine.Rebooter for stable storage). Fixpoint detection is
 // gated on the plan being settled — see async.go.
 //
-// Observability (Options.Obs, internal/obs) rides the same barriers: shard
-// phases append fixed-width journal events to per-shard buffers that the
-// coordinator drains in a canonical global order at each fold (journal.go),
-// so the serialized JSONL of a seeded run is byte-identical across worker
-// counts, and a metrics registry accumulates round timings and the Result
-// counters across runs. A nil Obs costs one pointer test per emit site.
+// Observability (Options.Obs, internal/obs): each driver hands
+// fixed-width journal events to the sink in a canonical global order as it
+// produces them, with no buffering (journal.go). The async driver's events
+// happen in that order on its one goroutine; the sync pool's shards only
+// record each halt's round, and the coordinator emits the round's fire and
+// halt events in node id order after the barrier. So the serialized JSONL
+// of a seeded run is byte-identical across worker counts, and a metrics
+// registry accumulates round timings and the Result counters across runs.
+// A nil Obs costs one pointer test per emit site.
 package engine
 
 import (
@@ -105,7 +105,7 @@ type Executor int
 
 const (
 	// ExecutorSeq is the single-threaded reference executor (the default):
-	// the synchronous semantics on one inline runtime shard.
+	// the synchronous semantics on one shard, run inline on the caller.
 	ExecutorSeq Executor = iota
 	// ExecutorPool is the sharded worker-pool executor: the same
 	// synchronous semantics over ~GOMAXPROCS locality-aware BFS shards
@@ -159,10 +159,10 @@ type Options struct {
 	RecordTrace bool
 	// Executor selects the execution strategy (default ExecutorSeq).
 	Executor Executor
-	// Workers bounds the number of locality-aware (BFS-order) runtime
-	// shards of ExecutorPool when positive (default GOMAXPROCS, capped at
-	// the node count). Every count produces bit-identical results.
-	// ExecutorSeq and ExecutorAsync ignore it.
+	// Workers bounds the number of locality-aware (BFS-order) shards of
+	// ExecutorPool when positive (default GOMAXPROCS, capped at the node
+	// count). Every count produces bit-identical results. ExecutorSeq and
+	// ExecutorAsync ignore it.
 	Workers int
 	// Schedule drives the async executor's activation and delivery
 	// decisions (default schedule.Synchronous()). Setting it with any

@@ -1,22 +1,24 @@
 package engine
 
 // journal.go is the engine side of the observability layer
-// (internal/obs): the per-run journal plumbing that turns shard-local
-// event buffers into one deterministic global stream, and the metrics
-// hooks that time rounds and mirror Result counters into a registry.
+// (internal/obs): the per-run journal handle that passes events to the
+// sink, and the metrics hooks that time rounds and mirror Result counters
+// into a registry.
 //
-// The ordering discipline mirrors the fault plan's: everything that must
-// be globally ordered already happens on the coordinator (crash/recovery/
-// retransmission decisions, partition heals, and delivery fates — applied
-// by one pass over the links in global (link, queue-position) order), so
-// those events go straight into the coordinator's step buffer in emission
-// order. Only fire/halt events are produced inside shard phases (the
-// async firing pass is one such phase); each shard appends them to its
-// own stepStats buffer (the same fold discipline as the byte/halt
-// counters), and the coordinator merges them at the barrier by sorting on
-// node id — a canonical order no shard count can perturb. The result: the
+// Each driver hands events to the sink in journal order as it produces
+// them; nothing is buffered, merged or sorted. The async driver runs on
+// the coordinator alone, so its events happen in journal order: per step,
+// crashes, recoveries and retransmissions in node/link order, the heal,
+// the delivery fates in global (link, queue-position) order, then each
+// firing's fire (and halt) in node id order, and the fixpoint probe. The
+// sync driver's shards only record each halt's round; after the round's
+// barrier the coordinator walks the nodes in id order and emits fire for
+// every node that stepped and halt for every node that halted. Both
+// orders are canonical — no shard count can perturb them — so the
 // serialized journal of a seeded run is byte-identical for every Workers
-// and GOMAXPROCS setting, which TestJournalShardDeterminism pins.
+// and GOMAXPROCS setting, which TestJournalShardDeterminism pins. A run
+// that fails mid-step (a replay divergence, a panicking δ) keeps the
+// events it had already produced.
 //
 // Everything here is nil-guarded at the emit sites: with Options.Obs nil
 // (or its Sink/Metrics fields nil) the engine allocates nothing and pays
@@ -24,8 +26,6 @@ package engine
 // keeps its committed 9 allocs/op.
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"weakmodels/internal/fault"
@@ -89,16 +89,12 @@ const (
 	MetricShardMergeUs = "weak_engine_shard_merge_us"
 )
 
-// journal adapts an obs.Sink to the engine's phase structure. All methods
-// run on the coordinator goroutine; shard phases never touch the journal
-// directly — they append to their own stepStats.events buffer, which
-// flushStep drains at the barrier.
+// journal is the run's handle on its obs.Sink. All methods run on the
+// coordinator goroutine, between barriers.
 //
 //weakvet:obs newJournal returns nil instead of a journal with a nil sink; every caller guards the *journal, so sink is non-nil by construction
 type journal struct {
-	sink  obs.Sink
-	coord []obs.Event // coordinator-side events of the current step, in emission order
-	fired []obs.Event // scratch: the step's shard events, merged for sorting
+	sink obs.Sink
 }
 
 // newJournal returns the journal for a run, or nil when no sink is
@@ -110,36 +106,8 @@ func newJournal(o *obs.Obs) *journal {
 	return &journal{sink: o.Sink}
 }
 
-// event emits one record directly. Coordinator only, between barriers.
+// event emits one record.
 func (j *journal) event(e obs.Event) { j.sink.Event(e) }
-
-// coordEvent buffers a coordinator-side event of the current step.
-func (j *journal) coordEvent(e obs.Event) { j.coord = append(j.coord, e) }
-
-// flushStep drains the step's events to the sink in canonical order:
-// coordinator events first, in emission order (they are already drawn in
-// global order — node order for crashes/recoveries, global (link,
-// queue-position) order for delivery fates); then the shards' fire/halt
-// events sorted by node id. One node fires at most once per step, so the
-// sort key is unique per node and the stable sort keeps each node's
-// fire-before-halt emission order. Clears the shard buffers in place.
-func (j *journal) flushStep(stats []stepStats) {
-	for _, e := range j.coord {
-		j.sink.Event(e)
-	}
-	j.coord = j.coord[:0]
-	j.fired = j.fired[:0]
-	for w := range stats {
-		j.fired = append(j.fired, stats[w].events...)
-		stats[w].events = stats[w].events[:0]
-	}
-	slices.SortStableFunc(j.fired, func(a, b obs.Event) int {
-		return cmp.Compare(a.Node, b.Node)
-	})
-	for _, e := range j.fired {
-		j.sink.Event(e)
-	}
-}
 
 // finish flushes the sink on every run exit path; a flush error surfaces
 // as the run's error when the run itself succeeded.
@@ -182,14 +150,9 @@ func newRunMetrics(o *obs.Obs, nodes int) *runMetrics {
 // roundStart stamps the beginning of a round/step.
 func (rm *runMetrics) roundStart() { rm.t0 = rm.clock.Now() }
 
-// shardPhase drains the shards' accumulated phase durations into h, one
-// sample per shard. The coordinator calls it right after the phase's
-// barrier, so each drain covers exactly one phase.
-func (rm *runMetrics) shardPhase(stats []stepStats, h *obs.Histogram) {
-	for w := range stats {
-		h.Observe(float64(stats[w].dur) / float64(time.Microsecond))
-		stats[w].dur = 0
-	}
+// shardStep observes one shard's wall time in a compute phase.
+func (rm *runMetrics) shardStep(d time.Duration) {
+	rm.shardStepUs.Observe(float64(d) / float64(time.Microsecond))
 }
 
 // phaseStart stamps the start of a compute phase run inline on the
@@ -198,17 +161,7 @@ func (rm *runMetrics) phaseStart() { rm.phase0 = rm.clock.Now() }
 
 // phaseEnd observes the inline phase begun at phaseStart as one shard's
 // compute-phase sample.
-func (rm *runMetrics) phaseEnd() {
-	rm.shardStepUs.Observe(float64(rm.clock.Now()-rm.phase0) / float64(time.Microsecond))
-}
-
-// dropShardDurs clears phase durations without observing them, for phases
-// (the initial send) outside the step histogram.
-func (rm *runMetrics) dropShardDurs(stats []stepStats) {
-	for w := range stats {
-		stats[w].dur = 0
-	}
-}
+func (rm *runMetrics) phaseEnd() { rm.shardStep(rm.clock.Now() - rm.phase0) }
 
 // roundEnd observes the round's duration into the timing histograms.
 func (rm *runMetrics) roundEnd() {

@@ -1,14 +1,17 @@
 package engine
 
-// router.go holds the synchronous (Section 1.3) semantics on top of the
-// shard runtime: the per-run execution state, the combined
+// router.go holds the synchronous (Section 1.3) semantics: the per-run
+// execution state with its shards and worker pool, the combined
 // receive/step/send pass, and the one driver behind both ExecutorSeq and
 // ExecutorPool.
 //
-// All inboxes live in one flat double-buffered arena laid out in the BFS
-// locality order of port.Locality: the inbox of the node ranked r is
-// arena[off[r]:off[r+1]], so the inbox slots of a shard's nodes form one
-// contiguous per-shard region, and the routing table dest maps each
+// Shards are contiguous rank ranges of the graph's BFS locality order
+// (graph.BFSOrder via port.Locality, cached per numbering): shard w owns
+// the nodes ranked [w·n/W, (w+1)·n/W), a connected, roughly ball-shaped
+// patch of the graph whose boundary cuts few links. All inboxes live in
+// one flat double-buffered arena laid out in the same order: the inbox of
+// the node ranked r is arena[off[r]:off[r+1]], so each shard's inbox
+// slots form one contiguous region, and the routing table dest maps each
 // out-port slot directly to its destination inbox slot — delivering a
 // message is a single indexed store, and a low-cut sharding keeps most of
 // those stores inside the sender's own region.
@@ -17,19 +20,51 @@ package engine
 // from the current arena, step, then emit next-round messages into the
 // other arena. Because every inbox slot is written by exactly one out-port
 // (the numbering is a bijection) and reads only touch the current arena,
-// shards run the pass concurrently with no synchronisation beyond the
-// runtime's barrier between rounds. ExecutorSeq is the same pass on an
-// inline single-shard runtime — the W=1 degenerate case, bit-identical by
-// construction and pinned by TestExecutorEquivalence.
+// shards run the pass concurrently with no synchronisation beyond one
+// barrier per round. ExecutorPool parks one worker goroutine per shard on
+// a command channel; ExecutorSeq runs its single shard inline on the
+// caller — the W=1 degenerate case, bit-identical by construction and
+// pinned by TestExecutorEquivalence. Workers write only their own shard's
+// counters, so the round loop needs no atomics; the coordinator folds
+// them at the barrier, and with a journal attached walks the nodes in id
+// order to emit the round's fire and halt events.
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"time"
 
 	"weakmodels/internal/graph"
 	"weakmodels/internal/machine"
 	"weakmodels/internal/obs"
 	"weakmodels/internal/port"
 )
+
+// poolWorkers resolves the shard count: Options.Workers when positive,
+// else GOMAXPROCS, always within [1, n].
+func poolWorkers(opts Options, n int) int {
+	w := opts.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(w, n))
+}
+
+// shard is one worker's share of a synchronous run: its rank range and
+// the counters only it writes during a phase, which the coordinator
+// folds at the barrier.
+type shard struct {
+	lo, hi   int   // ranks [lo, hi) of the locality order
+	bytes    int64 // message bytes produced during the phase
+	newHalts int   // nodes that halted during the phase
+	// dur is the wall time of the shard's last step phase, stamped only
+	// when the run has a clock (a metrics registry is attached).
+	dur time.Duration
+	// scratch is the canonicalisation buffer (capacity = max degree),
+	// reused across nodes and rounds.
+	scratch []machine.Message
+}
 
 // runState is the flattened execution state of one synchronous run.
 type runState struct {
@@ -57,35 +92,99 @@ type runState struct {
 	// jr/met are the observability hooks, nil when Options.Obs does not
 	// ask for them; round is the round being executed, written by the
 	// coordinator before each phase (the barrier orders it against shard
-	// reads) and stamped into the shards' journal events.
-	jr    *journal
-	met   *runMetrics
-	round int
+	// reads). haltRound[v] is the round node v halted at, written by its
+	// shard and read by the journal walk; allocated only with a journal.
+	jr        *journal
+	met       *runMetrics
+	round     int
+	haltRound []int
 
-	rt shardRuntime
+	// shards partition the locality order; cmds holds one command channel
+	// per pool worker (nil when the shards run inline on the caller), each
+	// command telling the worker whether to step a round (true) or emit
+	// μ(x_0) (false). clock, set from the metrics hook, makes every step
+	// phase stamp its shard's wall time.
+	shards  []shard
+	cmds    []chan bool
+	barrier sync.WaitGroup
+	clock   obs.Clock
 }
 
-// Phases of the synchronous driver.
-const (
-	phaseSend runtimePhase = iota // initial μ(x_0) emission
-	phaseStep                     // one combined receive+step+send round
-)
-
-// runPhase executes one phase over shard w; the runtime fans it out.
-func (rs *runState) runPhase(w int, ph runtimePhase) {
-	lo, hi := rs.rt.span(w)
-	st := &rs.rt.stats[w]
-	if ph == phaseSend {
-		for r := lo; r < hi; r++ {
-			rs.sendRank(r, rs.cur, st)
+// phase executes one phase over shard w: the initial μ(x_0) emission, or
+// (step) one combined receive+step+send round.
+func (rs *runState) phase(w int, step bool) {
+	sh := &rs.shards[w]
+	if !step {
+		for r := sh.lo; r < sh.hi; r++ {
+			rs.sendRank(r, rs.cur, sh)
 		}
 		return
 	}
-	rs.stepShard(lo, hi, st)
+	if rs.clock == nil {
+		rs.stepShard(sh)
+		return
+	}
+	t0 := rs.clock.Now()
+	rs.stepShard(sh)
+	sh.dur = rs.clock.Now() - t0
+}
+
+// run executes one phase over every shard and returns once all of them
+// finished — the one barrier of the engine. Coordinator-side state written
+// before run is visible to the workers (the channel send orders it), and
+// shard writes are visible to the coordinator after the barrier.
+func (rs *runState) run(step bool) {
+	if rs.cmds == nil {
+		for w := range rs.shards {
+			rs.phase(w, step)
+		}
+		return
+	}
+	rs.barrier.Add(len(rs.cmds))
+	for _, cmd := range rs.cmds {
+		cmd <- step
+	}
+	rs.barrier.Wait()
+}
+
+// spawn launches one persistent worker goroutine per shard, parked on its
+// command channel between phases.
+func (rs *runState) spawn() {
+	rs.cmds = make([]chan bool, len(rs.shards))
+	for w := range rs.cmds {
+		rs.cmds[w] = make(chan bool, 1)
+		go func(w int, cmd <-chan bool) {
+			for step := range cmd {
+				rs.phase(w, step)
+				rs.barrier.Done()
+			}
+		}(w, rs.cmds[w])
+	}
+}
+
+// stop shuts the pool's workers down; a no-op for inline runs.
+func (rs *runState) stop() {
+	for _, cmd := range rs.cmds {
+		close(cmd)
+	}
+}
+
+// fold merges and clears the shards' counters — the one counter-merge
+// loop of the engine, run by the coordinator between barriers.
+//
+//weakvet:noalloc
+func (rs *runState) fold() (bytes int64, halts int) {
+	for w := range rs.shards {
+		sh := &rs.shards[w]
+		bytes += sh.bytes
+		halts += sh.newHalts
+		sh.bytes, sh.newHalts = 0, 0
+	}
+	return bytes, halts
 }
 
 // driveRounds is the round loop shared by every synchronous run: one
-// runtime phase per round over all shards, counters folded at the barrier.
+// phase per round over all shards, counters folded at the barrier.
 // active is the count of initially non-halted nodes (> 0; callers
 // short-circuit the zero-round case).
 func (rs *runState) driveRounds(active int, opts Options, res *Result) error {
@@ -98,12 +197,8 @@ func (rs *runState) driveRounds(active int, opts Options, res *Result) error {
 		startRound = opts.Resume.Step + 1
 		pending = opts.Resume.Pending
 	} else {
-		rs.rt.run(phaseSend)
-		pending, _ = rs.rt.fold()
-		if rs.met != nil {
-			// The initial μ(x_0) emission is not a round step.
-			rs.met.dropShardDurs(rs.rt.stats)
-		}
+		rs.run(false)
+		pending, _ = rs.fold()
 	}
 	for round := startRound; ; round++ {
 		if round > maxRounds {
@@ -117,16 +212,18 @@ func (rs *runState) driveRounds(active int, opts Options, res *Result) error {
 		if rs.met != nil {
 			rs.met.roundStart()
 		}
-		rs.rt.run(phaseStep)
+		rs.run(true)
 		if rs.met != nil {
-			rs.met.shardPhase(rs.rt.stats, rs.met.shardStepUs)
+			for w := range rs.shards {
+				rs.met.shardStep(rs.shards[w].dur)
+			}
 		}
-		bytes, halts := rs.rt.fold()
+		bytes, halts := rs.fold()
 		if rs.met != nil {
 			rs.met.roundEnd()
 		}
 		if rs.jr != nil {
-			rs.jr.flushStep(rs.rt.stats)
+			rs.journalRound()
 		}
 		rs.swap()
 		pending = bytes
@@ -138,9 +235,8 @@ func (rs *runState) driveRounds(active int, opts Options, res *Result) error {
 		if active == 0 {
 			return nil
 		}
-		// Captured post-swap, after the round's journal events flushed, so a
-		// replay from round `round` emits exactly the original journal's
-		// suffix.
+		// Captured post-swap, after the round's journal events, so a replay
+		// from round `round` emits exactly the original journal's suffix.
 		if cp := opts.Checkpoint; cp != nil && round%cp.Every == 0 {
 			if err := cp.Sink(rs.capture(round, res, pending)); err != nil {
 				return fmt.Errorf("engine: checkpoint sink at round %d: %w", round, err)
@@ -149,8 +245,25 @@ func (rs *runState) driveRounds(active int, opts Options, res *Result) error {
 	}
 }
 
-// newRunState initialises states, halt flags, the arena and the shard
-// runtime, and returns the number of initially active (non-halted) nodes.
+// journalRound emits the round's events in journal order: node by node in
+// id order, fire for every node that stepped this round, then halt for
+// the ones that halted in it.
+func (rs *runState) journalRound() {
+	t := int64(rs.round)
+	for v, h := range rs.haltRound {
+		halt := h == rs.round
+		if halt || !rs.halted[v] {
+			rs.jr.event(obs.Event{Step: t, Kind: obs.KindFire, Node: int32(v), Link: -1})
+		}
+		if halt {
+			rs.jr.event(obs.Event{Step: t, Kind: obs.KindHalt, Node: int32(v), Link: -1})
+		}
+	}
+}
+
+// newRunState initialises states, halt flags, the arena and the shards
+// (workers of them, in [1, max(n, 1)]), and returns the number of
+// initially active (non-halted) nodes.
 func newRunState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options, workers int) (*runState, int, error) {
 	n := g.N()
 	loc := p.Locality()
@@ -172,13 +285,17 @@ func newRunState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Opti
 		next:      arena[ports:],
 		jr:        newJournal(opts.Obs),
 		met:       newRunMetrics(opts.Obs, n),
+		shards:    make([]shard, workers),
 	}
-	rs.rt.init(loc, workers)
+	if rs.jr != nil {
+		rs.haltRound = make([]int, n)
+	}
 	if rs.met != nil {
-		rs.rt.clock = rs.met.clock
+		rs.clock = rs.met.clock
 	}
-	for w := range rs.rt.stats {
-		rs.rt.stats[w].scratch = rs.newScratch()
+	for w := range rs.shards {
+		rs.shards[w] = shard{lo: w * n / workers, hi: (w + 1) * n / workers,
+			scratch: make([]machine.Message, 0, g.MaxDegree())}
 	}
 	active := n
 	for v := 0; v < n; v++ {
@@ -196,12 +313,6 @@ func newRunState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Opti
 	return rs, active, nil
 }
 
-// newScratch returns a canonicalisation buffer sized to the run's maximum
-// degree, so CanonicalInboxInto never reallocates.
-func (rs *runState) newScratch() []machine.Message {
-	return make([]machine.Message, 0, rs.g.MaxDegree())
-}
-
 // sendRank emits the outgoing messages of the node ranked r into dst via
 // the routing table. Halted nodes send m0 forever (Section 1.3) and
 // contribute no bytes; after two halted passes both arenas already hold m0
@@ -209,7 +320,7 @@ func (rs *runState) newScratch() []machine.Message {
 // stores are skipped.
 //
 //weakvet:noalloc
-func (rs *runState) sendRank(r int, dst []machine.Message, st *stepStats) {
+func (rs *runState) sendRank(r int, dst []machine.Message, sh *shard) {
 	lo, hi := rs.off[r], rs.off[r+1]
 	v := rs.order[r]
 	if rs.halted[v] {
@@ -227,47 +338,42 @@ func (rs *runState) sendRank(r int, dst []machine.Message, st *stepStats) {
 		msg := rs.m.Send(state, 1)
 		for s := lo; s < hi; s++ {
 			dst[rs.dest[s]] = msg
-			st.bytes += int64(len(msg))
+			sh.bytes += int64(len(msg))
 		}
 		return
 	}
 	for s := lo; s < hi; s++ {
 		msg := rs.m.Send(state, int(s-lo)+1)
 		dst[rs.dest[s]] = msg
-		st.bytes += int64(len(msg))
+		sh.bytes += int64(len(msg))
 	}
 }
 
-// stepShard runs the combined receive+send pass of one round for the
-// ranks [lo,hi): consume the inbox from cur, step, check halting, then
+// stepShard runs the combined receive+send pass of one round over the
+// shard's ranks: consume the inbox from cur, step, check halting, then
 // emit the next round's messages into next. Safe to run concurrently on
-// disjoint shards: writes to states/halted/outputs are per-node, writes to
-// next are per-inbox-slot (a bijection), and cur is read-only during the
-// pass.
+// disjoint shards: writes to states/halted/outputs/haltRound are
+// per-node, writes to next are per-inbox-slot (a bijection), and cur is
+// read-only during the pass.
 //
 //weakvet:noalloc
-func (rs *runState) stepShard(lo, hi int, st *stepStats) {
-	for r := lo; r < hi; r++ {
+func (rs *runState) stepShard(sh *shard) {
+	for r := sh.lo; r < sh.hi; r++ {
 		v := rs.order[r]
 		if !rs.halted[v] {
 			inbox := rs.cur[rs.off[r]:rs.off[r+1]]
-			inbox = machine.CanonicalInboxInto(rs.recv, inbox, st.scratch)
+			inbox = machine.CanonicalInboxInto(rs.recv, inbox, sh.scratch)
 			rs.states[v] = rs.m.Step(rs.states[v], inbox)
-			if rs.jr != nil {
-				st.events = append(st.events, obs.Event{
-					Step: int64(rs.round), Kind: obs.KindFire, Node: v, Link: -1})
-			}
 			if out, ok := rs.m.Halted(rs.states[v]); ok {
 				rs.halted[v] = true
 				rs.outputs[v] = out
-				st.newHalts++
-				if rs.jr != nil {
-					st.events = append(st.events, obs.Event{
-						Step: int64(rs.round), Kind: obs.KindHalt, Node: v, Link: -1})
+				sh.newHalts++
+				if rs.haltRound != nil {
+					rs.haltRound[v] = rs.round
 				}
 			}
 		}
-		rs.sendRank(r, rs.next, st)
+		rs.sendRank(r, rs.next, sh)
 	}
 }
 
@@ -275,9 +381,10 @@ func (rs *runState) stepShard(lo, hi int, st *stepStats) {
 func (rs *runState) swap() { rs.cur, rs.next = rs.next, rs.cur }
 
 // runSync is the one driver behind ExecutorSeq and ExecutorPool: the
-// synchronous semantics over a shard runtime. ExecutorSeq passes one
-// inline shard; ExecutorPool spawns a worker per BFS shard. Both are
-// bit-identical for every worker count (TestExecutorEquivalence).
+// synchronous semantics over workers BFS shards, run inline on the caller
+// (ExecutorSeq, one shard) or by a pool of one worker goroutine per shard
+// (spawn). Both are bit-identical for every worker count
+// (TestExecutorEquivalence).
 func runSync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options, workers int, spawn bool) (res *Result, err error) {
 	rs, active, err := newRunState(m, g, p, opts, workers)
 	if err != nil {
@@ -296,7 +403,7 @@ func runSync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options,
 			rs.met.finish(res)
 		}
 	}()
-	res = &Result{States: rs.states, Shards: rs.rt.workers}
+	res = &Result{States: rs.states, Shards: workers}
 	if opts.Resume != nil {
 		if len(opts.Resume.SchedState) > 0 || len(opts.Resume.PlanState) > 0 {
 			return nil, fmt.Errorf("engine: synchronous executors have no schedule or fault plan to restore")
@@ -313,8 +420,10 @@ func runSync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options,
 		res.Output = rs.outputs
 		return res, nil
 	}
-	rs.rt.start(rs, spawn)
-	defer rs.rt.stop()
+	if spawn {
+		rs.spawn()
+		defer rs.stop()
+	}
 	if err := rs.driveRounds(active, opts, res); err != nil {
 		return nil, err
 	}

@@ -9,11 +9,12 @@ import (
 	"weakmodels/internal/port"
 )
 
-// TestRuntimeShardsMatchShardByBFS pins the runtime's shard assignment to
+// TestRuntimeShardsMatchShardByBFS pins the pool's shard assignment to
 // the public graph.ShardByBFS contract: the nodes shard w owns — the
-// locality order over its span — are exactly ShardByBFS's w-th shard. weakrun's cut-link telemetry recomputes the
-// partition through graph.ShardByBFS, so this equality is what keeps the
-// reported boundaries honest.
+// locality order over its rank range — are exactly ShardByBFS's w-th
+// shard. weakrun's cut-link telemetry recomputes the partition through
+// graph.ShardByBFS, so this equality is what keeps the reported
+// boundaries honest.
 func TestRuntimeShardsMatchShardByBFS(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Torus(6, 6),
@@ -24,17 +25,19 @@ func TestRuntimeShardsMatchShardByBFS(t *testing.T) {
 	for _, g := range graphs {
 		p := port.Canonical(g)
 		for _, workers := range []int{1, 2, 3, 7, g.N() + 5} {
-			var rt shardRuntime
-			rt.init(p.Locality(), workers)
+			rs, _, err := newRunState(runtimeCountdown(g.MaxDegree(), 1), g, p, Options{},
+				poolWorkers(Options{Workers: workers}, g.N()))
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := graph.ShardByBFS(g, workers)
-			if rt.workers != len(want) {
+			if len(rs.shards) != len(want) {
 				t.Fatalf("%v workers=%d: runtime has %d shards, ShardByBFS %d",
-					g, workers, rt.workers, len(want))
+					g, workers, len(rs.shards), len(want))
 			}
 			seen := 0
-			for w := 0; w < rt.workers; w++ {
-				lo, hi := rt.span(w)
-				nodes := rt.loc.Order[lo:hi]
+			for w, sh := range rs.shards {
+				nodes := rs.order[sh.lo:sh.hi]
 				if len(nodes) != len(want[w]) {
 					t.Fatalf("%v workers=%d shard %d: %d nodes, want %d",
 						g, workers, w, len(nodes), len(want[w]))
@@ -78,11 +81,11 @@ func runtimeCountdown(delta, rounds int) machine.Machine {
 }
 
 // TestRuntimeSteadyRoundsAllocateNothing is the per-shard-arena allocation
-// budget: on the inline runtime (ExecutorSeq, the W=1 degenerate case) a
+// budget: on one inline shard (ExecutorSeq, the W=1 degenerate case) a
 // whole run costs a fixed number of setup allocations — no more than the
 // seed's committed 9 — and steady rounds add nothing: quadrupling the
-// round count must not change allocs/op. The arena, the per-shard scratch
-// buffers and the runtime's stats are all carved out up front.
+// round count must not change allocs/op. The arena, the shards and their
+// scratch buffers are all carved out up front.
 func TestRuntimeSteadyRoundsAllocateNothing(t *testing.T) {
 	g := graph.Torus(16, 16)
 	p := port.Canonical(g)

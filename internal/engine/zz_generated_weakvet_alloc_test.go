@@ -16,9 +16,10 @@ var weakvetAllocTargets = []struct {
 	name   string
 	budget int
 }{
+	{"(*asyncState).fire", 0},
+	{"(*runState).fold", 0},
 	{"(*runState).sendRank", 0},
 	{"(*runState).stepShard", 0},
-	{"(*shardRuntime).fold", 0},
 }
 
 // TestWeakvetAllocPins measures each annotated function through its

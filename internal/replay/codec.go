@@ -104,13 +104,15 @@ func encodeEnd(rec *Recording) []byte {
 	return b
 }
 
+// appendMask writes the length of v, then v eight flags to a byte, the
+// lowest index in the lowest bit. Every flag is or-ed in as its 0/1 value
+// with no branch on it: on random:0.5 activation masks that branch would
+// be a coin flip.
 func appendMask(b []byte, v []bool) []byte {
 	b = enc.Uvarint(b, uint64(len(v)))
 	var acc byte
 	for i, x := range v {
-		if x {
-			acc |= 1 << (i % 8)
-		}
+		acc |= bit(x) << (i % 8)
 		if i%8 == 7 {
 			b = append(b, acc)
 			acc = 0
@@ -120,6 +122,15 @@ func appendMask(b []byte, v []bool) []byte {
 		b = append(b, acc)
 	}
 	return b
+}
+
+// bit is x as 0 or 1. The compiler lowers it to a zero-extension of the
+// bool's byte, without a branch.
+func bit(x bool) byte {
+	if x {
+		return 1
+	}
+	return 0
 }
 
 // appendSchedule opens a step record: the step number and the schedule

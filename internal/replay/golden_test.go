@@ -1,13 +1,16 @@
 package replay
 
-// golden_test.go pins the engine's observable bytes on a fixed table of
-// seeded hostile cells. Each cell records one async run and compares the
+// golden_test.go pins the engine's observable bytes on two fixed tables:
+// seeded hostile cells of the async executor, and synchronous cells of
+// ExecutorSeq and ExecutorPool. Each cell records one run and compares the
 // SHA-256 of three artefacts against values captured once and committed:
 // the JSONL journal, the saved WRPLAY02 recording and a rendering of the
-// Result without its Shards telemetry. Unlike the equivalence suites,
-// which compare two executions of the same build, this table compares
-// against an earlier build, so a refactor of the queues, the fate pass or
-// the codec that shifts one draw, one event or one byte fails here.
+// Result without its Shards telemetry (the error, for a sync cell that
+// exhausts its round budget). Unlike the equivalence suites, which
+// compare two executions of the same build, these tables compare against
+// an earlier build, so a refactor of the queues, the fate pass, the round
+// loop or the codec that shifts one draw, one event or one byte fails
+// here.
 //
 // The hashes must only change together with a deliberate change of run
 // semantics, journal or recording format; the commit that changes them
@@ -16,8 +19,11 @@ package replay
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -201,6 +207,149 @@ func TestGoldenHostileCells(t *testing.T) {
 				{"journal", sha(journal.Bytes()), c.journal},
 				{"recording", sha(saved.Bytes()), c.record},
 				{"result", sha(fmt.Appendf(nil, "%+v", r)), c.result},
+			} {
+				if got.got != got.want {
+					t.Errorf("%s SHA-256 = %s, want %s", got.what, got.got, got.want)
+				}
+			}
+		})
+	}
+}
+
+// goldenSyncCells covers ExecutorSeq and ExecutorPool at 2 and 4 workers,
+// a halting machine (MaxDegreeWithin, k=5) and one that exhausts its
+// round budget (MaxConsensus, MaxRounds 30); each cell keeps snapshots
+// every 4 rounds, so the recording pins the sync snapshot codec (Inbox,
+// Pending). An ErrNoHalt cell's recording is unfinished (no end record)
+// and its result column hashes the error text.
+var goldenSyncCells = []struct {
+	graph    string // "torus" (Torus(6,6)) or "pa" (PA(200,2)), numbered by port.Random
+	machine  string // "degree" (MaxDegreeWithin k=5, halts) or "max" (MaxConsensus, ErrNoHalt)
+	executor engine.Executor
+	workers  int
+	journal  string
+	record   string
+	result   string
+}{
+	{"torus", "degree", engine.ExecutorSeq, 0,
+		"24348c21749a746a90d9c95eaba78a31f1ef595e83db5729b6e0f37653601aff",
+		"cf1dc46cf102c3c0ca42b3bd8d75f8bd419cb1072155f772cd4bb15a3eb477d7",
+		"050f2e062f0aff03ea3c31866f53bac05e9b04da44e79400f1520569008a9331"},
+	{"torus", "degree", engine.ExecutorPool, 2,
+		"24348c21749a746a90d9c95eaba78a31f1ef595e83db5729b6e0f37653601aff",
+		"cf1dc46cf102c3c0ca42b3bd8d75f8bd419cb1072155f772cd4bb15a3eb477d7",
+		"050f2e062f0aff03ea3c31866f53bac05e9b04da44e79400f1520569008a9331"},
+	{"torus", "degree", engine.ExecutorPool, 4,
+		"24348c21749a746a90d9c95eaba78a31f1ef595e83db5729b6e0f37653601aff",
+		"cf1dc46cf102c3c0ca42b3bd8d75f8bd419cb1072155f772cd4bb15a3eb477d7",
+		"050f2e062f0aff03ea3c31866f53bac05e9b04da44e79400f1520569008a9331"},
+	{"torus", "max", engine.ExecutorSeq, 0,
+		"549c091b655a33b156d2ad564c18e30dd5420ff86d0fbbb280c1aa721c8ebe24",
+		"21f6df3a695d878f986b176b7dee8f5ace2d01ea2158961a7081436242156027",
+		"29b73b36477ae8fefaa72fbaee6ddd3288b1fc231c9fd14fef4dea47354954d6"},
+	{"torus", "max", engine.ExecutorPool, 2,
+		"549c091b655a33b156d2ad564c18e30dd5420ff86d0fbbb280c1aa721c8ebe24",
+		"21f6df3a695d878f986b176b7dee8f5ace2d01ea2158961a7081436242156027",
+		"29b73b36477ae8fefaa72fbaee6ddd3288b1fc231c9fd14fef4dea47354954d6"},
+	{"torus", "max", engine.ExecutorPool, 4,
+		"549c091b655a33b156d2ad564c18e30dd5420ff86d0fbbb280c1aa721c8ebe24",
+		"21f6df3a695d878f986b176b7dee8f5ace2d01ea2158961a7081436242156027",
+		"29b73b36477ae8fefaa72fbaee6ddd3288b1fc231c9fd14fef4dea47354954d6"},
+	{"pa", "degree", engine.ExecutorSeq, 0,
+		"83a2ce9dcd0328afabdab4711b958edeb3d3516ff809094d2a2229e8a5a8f1ec",
+		"59392b69ef7530ff63b22b61986065e344ab9633d09db5b2d41421aaa39e5b51",
+		"b2e1d38bc1ef959cfab0a4384d9221d7dfa63cf655045a28d9ebecba1fa44df1"},
+	{"pa", "degree", engine.ExecutorPool, 2,
+		"83a2ce9dcd0328afabdab4711b958edeb3d3516ff809094d2a2229e8a5a8f1ec",
+		"59392b69ef7530ff63b22b61986065e344ab9633d09db5b2d41421aaa39e5b51",
+		"b2e1d38bc1ef959cfab0a4384d9221d7dfa63cf655045a28d9ebecba1fa44df1"},
+	{"pa", "degree", engine.ExecutorPool, 4,
+		"83a2ce9dcd0328afabdab4711b958edeb3d3516ff809094d2a2229e8a5a8f1ec",
+		"59392b69ef7530ff63b22b61986065e344ab9633d09db5b2d41421aaa39e5b51",
+		"b2e1d38bc1ef959cfab0a4384d9221d7dfa63cf655045a28d9ebecba1fa44df1"},
+	{"pa", "max", engine.ExecutorSeq, 0,
+		"072770ebfb785296751b87b9353a7fb46b2b47289ae594728886a86ce0b89945",
+		"2ac87024c9f509d1b09271358811c7373380a3d838cfebf934fc30b0d8429086",
+		"1470beb5ebe4ea026848a5a422eba73f47f7885f865e73097b21bce63844672d"},
+	{"pa", "max", engine.ExecutorPool, 2,
+		"072770ebfb785296751b87b9353a7fb46b2b47289ae594728886a86ce0b89945",
+		"2ac87024c9f509d1b09271358811c7373380a3d838cfebf934fc30b0d8429086",
+		"1470beb5ebe4ea026848a5a422eba73f47f7885f865e73097b21bce63844672d"},
+	{"pa", "max", engine.ExecutorPool, 4,
+		"072770ebfb785296751b87b9353a7fb46b2b47289ae594728886a86ce0b89945",
+		"2ac87024c9f509d1b09271358811c7373380a3d838cfebf934fc30b0d8429086",
+		"1470beb5ebe4ea026848a5a422eba73f47f7885f865e73097b21bce63844672d"},
+}
+
+// init gob-encodes one MaxDegreeWithin state before any test runs. gob
+// numbers struct types per process in order of first use and writes the
+// number into every recording, so fixing it here keeps the sync cells'
+// recording hashes independent of which tests ran, and in which order.
+func init() {
+	st := algorithms.MaxDegreeWithin(1, 5).Init(0)
+	if err := gob.NewEncoder(io.Discard).Encode(st); err != nil {
+		panic(err)
+	}
+}
+
+func TestGoldenSyncCells(t *testing.T) {
+	for _, c := range goldenSyncCells {
+		name := fmt.Sprintf("%s/%s/%v/w%d", c.graph, c.machine, c.executor, c.workers)
+		t.Run(name, func(t *testing.T) {
+			var g *graph.Graph
+			var seed int64
+			switch c.graph {
+			case "torus":
+				g, seed = graph.Torus(6, 6), 21
+			case "pa":
+				seed = 22
+				var err error
+				if g, err = graph.PreferentialAttachment(200, 2, seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := port.Random(g, rand.New(rand.NewSource(seed)))
+			opts := engine.Options{Executor: c.executor, Workers: c.workers}
+			var m machine.Machine
+			switch c.machine {
+			case "degree":
+				m = algorithms.MaxDegreeWithin(g.MaxDegree(), 5)
+			case "max":
+				m = algorithms.MaxConsensus(g.MaxDegree())
+				opts.MaxRounds = 30
+			}
+			var journal bytes.Buffer
+			opts.Obs = &obs.Obs{Sink: obs.NewJournalWriter(&journal)}
+			opts, rec, err := New(opts, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.Run(m, p, opts)
+			var result []byte
+			switch {
+			case c.machine == "max":
+				if !errors.Is(err, engine.ErrNoHalt) {
+					t.Fatalf("err = %v, want ErrNoHalt", err)
+				}
+				result = []byte(err.Error())
+			case err != nil:
+				t.Fatal(err)
+			default:
+				if err := rec.Finish(res); err != nil {
+					t.Fatal(err)
+				}
+				r := *res
+				r.Shards = 0
+				result = fmt.Appendf(nil, "%+v", r)
+			}
+			var saved bytes.Buffer
+			if err := rec.Recording().Save(&saved); err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []struct{ what, got, want string }{
+				{"journal", sha(journal.Bytes()), c.journal},
+				{"recording", sha(saved.Bytes()), c.record},
+				{"result", sha(result), c.result},
 			} {
 				if got.got != got.want {
 					t.Errorf("%s SHA-256 = %s, want %s", got.what, got.got, got.want)
