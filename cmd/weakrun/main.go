@@ -31,7 +31,7 @@
 //
 // Flight recorder (internal/replay): -checkpoint records the run's
 // decisions, one record per step, and periodic state snapshots (cadence
-// -checkpoint-every) to a WRPLAY02 file; -replay reconstructs a recorded
+// -checkpoint-every) to a WRPLAY03 file; -replay reconstructs a recorded
 // run byte-exactly without re-drawing any randomness (-replay-from
 // resumes the replay from the latest snapshot at or before a step);
 // -resume continues a possibly truncated recording live from its last
@@ -405,7 +405,7 @@ func errWorkers(exec engine.Executor) error {
 	return fmt.Errorf("-workers is only meaningful with -executor=pool (got -executor=%v)", exec)
 }
 
-// loadRecording opens and decodes a WRPLAY02 flight recording. Load
+// loadRecording opens and decodes a WRPLAY03 flight recording. Load
 // tolerates a truncated tail (a killed recorder), so -resume works on
 // exactly the recordings that need it.
 func loadRecording(path string, m machine.Machine, p *port.Numbering) (*replay.Recording, error) {

@@ -89,9 +89,12 @@ func main() {
 		}
 	}
 
-	// Tail the interesting part: the heal record and the first probe after
-	// it — the moment the partition ended and the first time the engine
-	// asked "is this steady now?".
+	// Tail the interesting part: the heal record and the probes after it.
+	// The engine probes for a fixpoint every 8 steps once the plan has
+	// settled — here, from the heal on — and the first probe that finds
+	// every queued message steady and every δ a no-op ends the run, within
+	// 8 steps of the gossip settling. Under roundrobin one node fires per
+	// step, so the flood back across the restored links takes a few probes.
 	fmt.Println("\nthe heal and the probes around it:")
 	var healStep int64
 	for _, e := range collect.Events {

@@ -10,6 +10,12 @@
 //	EvenDegree    SB(1)  zero-round even-degree decision.
 //	VertexCover2  MB     broadcast-only fractional-matching 2-approximation
 //	                     (substitution for Åstrand–Suomela [3]; DESIGN.md §6).
+//	MaxDegreeWithin
+//	              MB(k)  gossips the maximum degree within distance k;
+//	                     halts after k rounds.
+//	MaxConsensus  MB     gossips the maximum degree forever: it never halts
+//	                     and settles after diameter-many rounds, the
+//	                     async executor's fixpoint-detection workload.
 package algorithms
 
 import (

@@ -72,8 +72,8 @@ func MaxDegreeWithin(delta, k int) machine.Machine {
 // node degree. It never halts: on a connected graph it stabilises at the
 // global maximum after diameter-many rounds, making it the canonical
 // workload for the async executor's fixpoint detection (the synchronous
-// executors can only give up at the round budget). Deliberately not in the
-// Registry, whose machines all halt.
+// executors can only give up at the round budget). It is in the Registry
+// as "max-consensus", its one machine that never halts.
 //
 // It is also the canonical gossip of the self-stabilisation harness: max
 // is a semilattice join, so omitted (m0) and duplicated messages only

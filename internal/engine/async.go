@@ -29,20 +29,31 @@ package engine
 // — exactly the synchronous recurrence. A schedule chooses how fast each
 // node advances along the synchronous trajectory, never where the
 // trajectory goes; under any fair schedule halting algorithms reach the
-// synchronous outputs, and under schedule.Synchronous the executor is
-// bit-identical to ExecutorSeq (TestAsyncSynchronousEquivalence).
+// synchronous outputs. Under schedule.Synchronous the executor computes
+// ExecutorSeq's states round by round: a halting run is bit-identical to
+// the sequential one, and a run that settles without halting ends with
+// Fixpoint where ExecutorSeq exhausts its budget with ErrNoHalt
+// (TestAsyncSynchronousEquivalence).
 // The per-step state snapshots recorded into Result.Trace are therefore
 // causality-consistent by construction: each is a configuration of the
 // actual interleaved execution.
 //
 // Fixpoint detection: runs that stabilise without halting (the situation
 // characterised by the modal μ-fragment) are cut off without waiting for
-// the step budget. Every asyncFixpointInterval steps the executor checks
-// whether (a) every queued or in-flight message equals what its source
-// would send from its current state, and (b) no non-halted node would
-// change state or halt on that steady inbox. If both hold, induction on
-// fire events shows no future step can change any state: the run is at a
-// global fixpoint and every undelivered message is a no-op re-send.
+// the step budget. Every fixpointEvery steps, on the absolute grid of
+// steps divisible by it, the executor checks whether (a) every queued or
+// in-flight message equals what its source would send from its current
+// state, and (b) no non-halted node would change state or halt on that
+// steady inbox. If both hold, induction on fire events shows no future
+// step can change any state: the run is at a global fixpoint and every
+// undelivered message is a no-op re-send. The argument does not depend on
+// when the probe runs, so a short cadence ends a settled run within
+// fixpointEvery steps of its first fixpoint with the same final States,
+// Alive and Output as a long one; only Rounds, Fires, MessageBytes and
+// the journal shrink. A probe costs at most one δ pass, so the cadence
+// caps it at an eighth of a pass per step (see fixpointEvery). The
+// simulator sees the whole configuration, so it needs no distributed
+// termination-detection protocol.
 //
 // Fault injection (Options.Fault, internal/fault) hooks into three
 // places, all behind a nil check so fault-free runs pay nothing. First,
@@ -80,17 +91,17 @@ import (
 	"weakmodels/internal/schedule"
 )
 
-// asyncFixpointInterval(n) spaces the O(ports + n·Step) fixpoint probes far
-// enough apart to amortise to ~O(1) per step. The floor of 64 also keeps
-// the probe out of the bit-identity property test, whose budget is smaller:
-// within the budget, async-under-Synchronous fails with ErrNoHalt exactly
-// when the sequential executor does.
-func asyncFixpointInterval(n int) int {
-	if n > 64 {
-		return n
-	}
-	return 64
-}
+// fixpointEvery is the fixpoint probe's cadence in steps. A probe costs
+// at most one δ call per node and one compare per queued message, and it
+// stops at the first node that fails, so a cadence of 8 bounds its cost
+// at an eighth of a δ pass per step even on a run where only the highest
+// node id keeps changing. A dense step already costs O(n + links) —
+// Decision.Reset, deliverLinks and fire each range over every node or
+// link — so the bound keeps the probe a fraction of a step. Making steps
+// sparse (work proportional to the nodes and links a step touches) would
+// make a full probe pass dominant again: that change must revisit this
+// cadence.
+const fixpointEvery = 8
 
 // linkQueue is the FIFO of one directed link. buf[head:dlv] is the mail
 // (delivered, consumed one entry per firing at head) and buf[dlv:] is in

@@ -13,13 +13,13 @@ package engine
 //     firing observes another's writes within a step.
 //
 // The schedule and the plan decide each step before its passes, and the
-// fixpoint probe, settlement-gated, runs after them as one loop over the
-// nodes. Every event goes to the journal as it happens, which is already
-// journal order (see journal.go). The driver runs on one shard and
-// ExecutorAsync ignores Options.Workers: a sharded firing pass was
-// bit-identical but no faster, because delivery stays serial and two
-// barriers per step cost more than the parallel firing saved (README,
-// "Why async runs on one shard").
+// fixpoint probe, settlement-gated, runs after them every fixpointEvery
+// steps as one loop over the nodes. Every event goes to the journal as it
+// happens, which is already journal order (see journal.go). The driver
+// runs on one shard and ExecutorAsync ignores Options.Workers: a sharded
+// firing pass was bit-identical but no faster, because delivery stays
+// serial and two barriers per step cost more than the parallel firing
+// saved (README, "Why async runs on one shard").
 
 import (
 	"fmt"
@@ -127,8 +127,7 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 	}
 	view := asyncView{as: as}
 	maxSteps := asyncStepBudget(opts, sched, n)
-	checkInterval := asyncFixpointInterval(n)
-	startT, nextCheck := 1, checkInterval
+	startT := 1
 	if snap := opts.Resume; snap != nil {
 		if err := restoreGenState(sched, snap.SchedState, "schedule"); err != nil {
 			return nil, err
@@ -137,10 +136,7 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 			return nil, err
 		}
 		// The snapshot's queues already hold whatever was in the network.
-		// Fixpoint probes fire at the same absolute steps as in the
-		// original run.
 		startT = snap.Step + 1
-		nextCheck = (snap.Step/checkInterval + 1) * checkInterval
 	} else {
 		// Step 0: every node emits μ(x_0) (halted nodes m0) into the
 		// network.
@@ -193,26 +189,25 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 		if active == 0 {
 			return res, nil
 		}
-		if t >= nextCheck {
-			nextCheck = t + checkInterval
-			// The probe is only sound once the plan can no longer perturb
-			// the run: an unsettled plan could still m0-substitute or reset
-			// a configuration that currently looks steady.
-			if as.plan == nil || as.plan.Settled() {
-				fix := as.atFixpoint()
-				if as.jr != nil {
-					verdict := int64(0)
-					if fix {
-						verdict = 1
-					}
-					as.jr.event(obs.Event{
-						Step: int64(t), Kind: obs.KindProbe, Node: -1, Link: -1,
-						Arg: verdict})
-				}
+		// Probes run on the absolute grid of steps divisible by
+		// fixpointEvery, so a resumed run probes at the same steps as the
+		// original. The probe is only sound once the plan can no longer
+		// perturb the run: an unsettled plan could still m0-substitute or
+		// reset a configuration that currently looks steady.
+		if t%fixpointEvery == 0 && (as.plan == nil || as.plan.Settled()) {
+			fix := as.atFixpoint()
+			if as.jr != nil {
+				verdict := int64(0)
 				if fix {
-					res.Fixpoint = true
-					return res, nil
+					verdict = 1
 				}
+				as.jr.event(obs.Event{
+					Step: int64(t), Kind: obs.KindProbe, Node: -1, Link: -1,
+					Arg: verdict})
+			}
+			if fix {
+				res.Fixpoint = true
+				return res, nil
 			}
 		}
 		// Captured after the probe block so a snapshot at step t sits after

@@ -17,17 +17,17 @@ import (
 )
 
 // TestAsyncSynchronousEquivalence is the correctness anchor of the async
-// executor: under the Synchronous schedule it must be bit-identical to
-// ExecutorSeq across the experiment suite — same Output, Rounds,
-// MessageBytes and Trace when the sequential run halts, and the same
-// ErrNoHalt when it does not. The equivalence budget is below the fixpoint
-// probe interval, so detection cannot mask a budget failure here.
+// executor: under the Synchronous schedule it computes ExecutorSeq's
+// states round by round across the experiment suite. When the sequential
+// run halts, the async one is bit-identical to it — same Output, Rounds,
+// MessageBytes and Trace, no fixpoint, every node firing once per step.
+// When it does not halt, the async run either detects a fixpoint at some
+// step t — its Trace then equals the sequential states of rounds 0..t,
+// and those states stay put from round t to the budget — or, if the run
+// neither halts nor settles, fails with the same ErrNoHalt.
 func TestAsyncSynchronousEquivalence(t *testing.T) {
-	if equivalenceBudget >= asyncFixpointInterval(1) {
-		t.Fatalf("equivalence budget %d must stay below the fixpoint probe interval %d",
-			equivalenceBudget, asyncFixpointInterval(1))
-	}
 	rng := rand.New(rand.NewSource(30))
+	fixpoints := 0
 	for _, g := range suiteGraphs() {
 		delta := g.MaxDegree()
 		numberings := map[string]*port.Numbering{
@@ -38,7 +38,21 @@ func TestAsyncSynchronousEquivalence(t *testing.T) {
 		for _, m := range suiteMachines(delta) {
 			for pname, p := range numberings {
 				label := fmt.Sprintf("%s on %v ports=%s", m.Name(), g, pname)
-				seq, seqErr := Run(m, p, Options{MaxRounds: equivalenceBudget, RecordTrace: true})
+				// rounds[r] is the sequential configuration x_r, read off a
+				// checkpoint every round, which also runs on the ErrNoHalt
+				// path where no Result comes back.
+				rounds := [][]machine.State{initialStates(m, g)}
+				seq, seqErr := Run(m, p, Options{
+					MaxRounds:   equivalenceBudget,
+					RecordTrace: true,
+					Checkpoint: &CheckpointOptions{Every: 1, Sink: func(s *Snapshot) error {
+						rounds = append(rounds, s.States)
+						return nil
+					}},
+				})
+				if seqErr != nil && !errors.Is(seqErr, ErrNoHalt) {
+					t.Fatalf("%s: unexpected seq error %v", label, seqErr)
+				}
 				// Both the implicit default schedule and an explicit
 				// Synchronous must match.
 				for _, sched := range []schedule.Schedule{nil, schedule.Synchronous()} {
@@ -48,28 +62,42 @@ func TestAsyncSynchronousEquivalence(t *testing.T) {
 						Executor:    ExecutorAsync,
 						Schedule:    sched,
 					})
-					if (seqErr == nil) != (asyncErr == nil) {
-						t.Fatalf("%s: seq err %v, async err %v", label, seqErr, asyncErr)
-					}
-					if seqErr != nil {
-						if !errors.Is(asyncErr, ErrNoHalt) {
-							t.Fatalf("%s: unexpected async error %v", label, asyncErr)
+					switch {
+					case asyncErr != nil:
+						if !errors.Is(asyncErr, ErrNoHalt) || seqErr == nil {
+							t.Fatalf("%s: seq err %v, async err %v", label, seqErr, asyncErr)
 						}
 						continue
-					}
-					if seq.Rounds != async.Rounds || seq.MessageBytes != async.MessageBytes {
-						t.Fatalf("%s: telemetry differs (rounds %d/%d bytes %d/%d)",
-							label, seq.Rounds, async.Rounds, seq.MessageBytes, async.MessageBytes)
-					}
-					if !reflect.DeepEqual(seq.Output, async.Output) {
-						t.Fatalf("%s: outputs differ\nseq:   %v\nasync: %v",
-							label, seq.Output, async.Output)
-					}
-					if !reflect.DeepEqual(seq.Trace, async.Trace) {
-						t.Fatalf("%s: traces differ", label)
-					}
-					if async.Fixpoint {
-						t.Fatalf("%s: spurious fixpoint on a halting run", label)
+					case async.Fixpoint:
+						if seqErr == nil {
+							t.Fatalf("%s: spurious fixpoint on a halting run", label)
+						}
+						fixpoints++
+						if !reflect.DeepEqual(async.Trace, rounds[:async.Rounds+1]) {
+							t.Fatalf("%s: trace up to the fixpoint at step %d differs from seq's rounds",
+								label, async.Rounds)
+						}
+						for r := async.Rounds; r <= equivalenceBudget; r++ {
+							if !reflect.DeepEqual(rounds[r], rounds[async.Rounds]) {
+								t.Fatalf("%s: fixpoint at step %d, but seq's states change by round %d",
+									label, async.Rounds, r)
+							}
+						}
+					default:
+						if seqErr != nil {
+							t.Fatalf("%s: seq err %v, async halted at step %d", label, seqErr, async.Rounds)
+						}
+						if seq.Rounds != async.Rounds || seq.MessageBytes != async.MessageBytes {
+							t.Fatalf("%s: telemetry differs (rounds %d/%d bytes %d/%d)",
+								label, seq.Rounds, async.Rounds, seq.MessageBytes, async.MessageBytes)
+						}
+						if !reflect.DeepEqual(seq.Output, async.Output) {
+							t.Fatalf("%s: outputs differ\nseq:   %v\nasync: %v",
+								label, seq.Output, async.Output)
+						}
+						if !reflect.DeepEqual(seq.Trace, async.Trace) {
+							t.Fatalf("%s: traces differ", label)
+						}
 					}
 					// Under the synchronous schedule every node fires once
 					// per step.
@@ -82,6 +110,21 @@ func TestAsyncSynchronousEquivalence(t *testing.T) {
 			}
 		}
 	}
+	// The fixpoint branch must be exercised: MaxConsensus is in the
+	// registry and settles on every suite graph.
+	if fixpoints == 0 {
+		t.Fatal("no run ended at a detected fixpoint")
+	}
+	t.Logf("%d runs ended at a detected fixpoint", fixpoints)
+}
+
+// initialStates is the configuration x_0 of m on g.
+func initialStates(m machine.Machine, g *graph.Graph) []machine.State {
+	x := make([]machine.State, g.N())
+	for v := range x {
+		x[v] = m.Init(g.Degree(v))
+	}
+	return x
 }
 
 // undilatedSchedule is a custom schedule without a Dilation method, to
@@ -242,6 +285,46 @@ func TestAsyncFixpointDetection(t *testing.T) {
 		for v, out := range res.Output {
 			if out != "" {
 				t.Fatalf("schedule %s: non-halted node %d has output %q", sched.Name(), v, out)
+			}
+		}
+	}
+}
+
+// TestAsyncFixpointPrompt: a run that is steady from its first step ends
+// at the first probe, not after n steps. MaxConsensus on a torus starts
+// steady, since every degree is Δ, so under every schedule the run must
+// end with Fixpoint by step fixpointEvery; on a preferential-attachment
+// graph the maximum first spreads over the diameter, and the sync run
+// must end by the second probe. The counts are deterministic, so the
+// test pins the work the probe cadence saves without timing anything.
+func TestAsyncFixpointPrompt(t *testing.T) {
+	torus := graph.Torus(32, 32)
+	pa, err := graph.PreferentialAttachment(4000, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g         *graph.Graph
+		specs     []string
+		maxRounds int
+	}{
+		{torus, []string{"sync", "roundrobin", "staleness:2", "adversary:3", "random:0.05"}, 8},
+		{pa, []string{"sync"}, 16},
+	} {
+		p := port.Random(tc.g, rand.New(rand.NewSource(3)))
+		m := algorithms.MaxConsensus(tc.g.MaxDegree())
+		for _, spec := range tc.specs {
+			sched, err := schedule.Parse(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(m, p, Options{Executor: ExecutorAsync, Schedule: sched})
+			if err != nil {
+				t.Fatalf("%v schedule %s: %v", tc.g, spec, err)
+			}
+			if !res.Fixpoint || res.Rounds > tc.maxRounds {
+				t.Errorf("%v schedule %s: fixpoint %v at step %d, want a fixpoint by step %d",
+					tc.g, spec, res.Fixpoint, res.Rounds, tc.maxRounds)
 			}
 		}
 	}
@@ -416,4 +499,48 @@ func TestAsyncIgnoresWorkers(t *testing.T) {
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatalf("workers=4 diverged from workers=1\nworkers=1: %+v\nworkers=4: %+v", ref, got)
 	}
+}
+
+// BenchmarkAsyncProbeWorstCase measures the fixpoint probe at its most
+// expensive: Torus(100,100) under the synchronous schedule, where every
+// node is steady except node n−1, which counts forever. Each probe then
+// steps δ on every node before it reaches the one that fails, and the
+// run never settles, so all 2,000 steps pay the cadence. ns/step is the
+// metric; a probe every fixpointEvery steps should add about an eighth of
+// a δ pass to it.
+func BenchmarkAsyncProbeWorstCase(b *testing.B) {
+	const steps = 2000
+	g := graph.Torus(100, 100)
+	m := &machine.InputFunc{
+		Func: machine.Func{
+			MachineName:  "count-at-one",
+			MachineClass: machine.ClassMB,
+			MaxDeg:       g.MaxDegree(),
+			InitFunc:     func(int) machine.State { return 0 },
+			HaltedFunc:   func(machine.State) (machine.Output, bool) { return "", false },
+			SendFunc:     func(machine.State, int) machine.Message { return "0" },
+			StepFunc: func(s machine.State, _ []machine.Message) machine.State {
+				if c := s.(int); c > 0 {
+					return c + 1
+				}
+				return 0
+			},
+		},
+		InitInputFunc: func(_ int, input string) machine.State {
+			if input == "count" {
+				return 1
+			}
+			return 0
+		},
+	}
+	inputs := make([]string, g.N())
+	inputs[g.N()-1] = "count"
+	p := port.Canonical(g)
+	for b.Loop() {
+		_, err := Run(m, p, Options{MaxRounds: steps, Executor: ExecutorAsync, Inputs: inputs})
+		if !errors.Is(err, ErrNoHalt) {
+			b.Fatalf("err = %v, want ErrNoHalt", err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }

@@ -14,9 +14,10 @@ import (
 	"weakmodels/internal/port"
 )
 
-// equivalenceBudget bounds every run in the property test: machines that
-// cannot halt on a given (graph, numbering) must fail identically with
-// ErrNoHalt in both executors.
+// equivalenceBudget bounds every run in the executor property tests:
+// machines that cannot halt on a given (graph, numbering) must fail
+// identically with ErrNoHalt on seq and pool, while async may end such a
+// run earlier at a detected fixpoint (TestAsyncSynchronousEquivalence).
 const equivalenceBudget = 60
 
 // suiteGraphs is the graph side of the experiment-suite matrix.

@@ -1,6 +1,6 @@
 package replay
 
-// codec.go is the WRPLAY02 binary format: an 8-byte magic followed by
+// codec.go is the WRPLAY03 binary format: an 8-byte magic followed by
 // self-framing records — tag byte, uvarint payload length, payload — in
 // chronological order: one begin record, then one step record per executed
 // step with the snapshots taken after it, then the end record. The framing
@@ -19,8 +19,9 @@ package replay
 //
 // and, on plan runs only,
 //
-//	         the crash mask; uvarint node count, then one byte per
-//	         recover kind; the resend mask
+//	         the crash mask; the recover mask (the nodes whose recover
+//	         kind is not RecoverNone), then one kind byte per recovering
+//	         node, in id order; the resend mask
 //	varint   the plan's cumulative healed count after the step
 //	uvarint  fate count, then one byte per delivery fate in global (link,
 //	         queue-position) order, each corrupt fate followed by its
@@ -32,6 +33,13 @@ package replay
 // must equal the size of the run's decision it fills: the decoder reads
 // straight into the engine's own decision buffers and allocates only the
 // rewrites it hands back.
+//
+// WRPLAY03 differs from WRPLAY02 in two places. The recover kinds, one
+// byte per node in WRPLAY02 and nearly all RecoverNone, became the recover
+// mask and the kinds of the set bits. And the fixpoint probe runs every 8
+// steps rather than every max(n, 64), so a recording holds Settled
+// verdicts at other steps: a WRPLAY02 recording would misreplay, and Load
+// rejects it by its magic.
 
 import (
 	"bufio"
@@ -50,7 +58,7 @@ import (
 )
 
 // replayMagic identifies the format and its version.
-const replayMagic = "WRPLAY02"
+const replayMagic = "WRPLAY03"
 
 // Record tags.
 const (
@@ -104,15 +112,17 @@ func encodeEnd(rec *Recording) []byte {
 	return b
 }
 
-// appendMask writes the length of v, then v eight flags to a byte, the
-// lowest index in the lowest bit. Every flag is or-ed in as its 0/1 value
-// with no branch on it: on random:0.5 activation masks that branch would
-// be a coin flip.
-func appendMask(b []byte, v []bool) []byte {
+// appendMask writes the length of v, then one flag per entry, set when
+// the entry is not T's zero value, eight flags to a byte, the lowest index
+// in the lowest bit. Every flag is or-ed in as its 0/1 value with no
+// branch on it: on random:0.5 activation masks that branch would be a
+// coin flip.
+func appendMask[T comparable](b []byte, v []T) []byte {
+	var zero T
 	b = enc.Uvarint(b, uint64(len(v)))
 	var acc byte
 	for i, x := range v {
-		acc |= bit(x) << (i % 8)
+		acc |= bit(x != zero) << (i % 8)
 		if i%8 == 7 {
 			b = append(b, acc)
 			acc = 0
@@ -156,9 +166,11 @@ func appendSchedule(b []byte, t int, dec *schedule.Decision) []byte {
 // step closes (see Recorder.closeStep).
 func appendPlan(b []byte, dec *fault.Decision, healed int64) []byte {
 	b = appendMask(b, dec.Crash)
-	b = enc.Uvarint(b, uint64(len(dec.Recover)))
+	b = appendMask(b, dec.Recover)
 	for _, k := range dec.Recover {
-		b = append(b, byte(k))
+		if k != fault.RecoverNone {
+			b = append(b, byte(k))
+		}
 	}
 	b = appendMask(b, dec.Resend)
 	return enc.Varint(b, healed)
@@ -247,21 +259,46 @@ func (s *stepReader) schedule(dec *schedule.Decision) error {
 	return s.Err()
 }
 
+// recoverKinds reads the recover mask and the kinds of its set bits into
+// dst: a second reader walks the mask while the first reads the kinds
+// behind it. A set bit must carry RecoverResume or RecoverReset.
+func (s *stepReader) recoverKinds(dst []fault.RecoverKind) error {
+	if err := s.count("recover mask", len(dst), 1); err != nil {
+		return err
+	}
+	mask := s.Reader
+	for range (len(dst) + 7) / 8 {
+		s.Byte()
+	}
+	var acc byte
+	for v := range dst {
+		if v%8 == 0 {
+			acc = mask.Byte()
+		}
+		dst[v] = fault.RecoverNone
+		if acc&(1<<(v%8)) == 0 {
+			continue
+		}
+		k := s.Byte()
+		if err := s.Err(); err != nil {
+			return err
+		}
+		if k == byte(fault.RecoverNone) || k > byte(fault.RecoverReset) {
+			return fmt.Errorf("node %d: recover kind %d in the recover mask", v, k)
+		}
+		dst[v] = fault.RecoverKind(k)
+	}
+	return s.Err()
+}
+
 // plan reads the plan decision into dec and returns the healed count; the
 // step's fates follow.
 func (s *stepReader) plan(dec *fault.Decision) (int64, error) {
 	if err := s.mask("crash mask", dec.Crash); err != nil {
 		return 0, err
 	}
-	if err := s.count("recover kinds", len(dec.Recover), 8); err != nil {
+	if err := s.recoverKinds(dec.Recover); err != nil {
 		return 0, err
-	}
-	for v := range dec.Recover {
-		k := s.Byte()
-		if k > byte(fault.RecoverReset) {
-			return 0, fmt.Errorf("node %d: unknown recover kind %d", v, k)
-		}
-		dec.Recover[v] = fault.RecoverKind(k)
 	}
 	if err := s.mask("resend mask", dec.Resend); err != nil {
 		return 0, err
@@ -353,7 +390,7 @@ func (s *stepReader) check(b []byte, rec *Recording, prev int, sdec *schedule.De
 	return t, s.Close()
 }
 
-// Load decodes a WRPLAY02 recording. The machine and numbering decode the
+// Load decodes a WRPLAY03 recording. The machine and numbering decode the
 // embedded snapshots (the machine supplies the gob state template) and
 // size the decisions every step record must fill, and must be the ones the
 // run was recorded with. A truncated tail — the recording process was

@@ -1,6 +1,6 @@
 package replay
 
-// codec_test.go pins the WRPLAY02 bytes: a hand-built step record streams
+// codec_test.go pins the WRPLAY03 bytes: a hand-built step record streams
 // to a committed hex literal and decodes back to the same decisions, and
 // Load returns a recording or an error on hostile bytes, never panicking
 // or allocating what a header merely claims.
@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weakmodels/internal/algorithms"
@@ -55,10 +56,10 @@ func (p *scriptedPlan) Filter(int, int) fault.Fate {
 	return f
 }
 
-// recordingABI is the WRPLAY02 stream of TestRecordingABI's run: one step
+// recordingABI is the WRPLAY03 stream of TestRecordingABI's run: one step
 // record between the begin and end records.
 const recordingABI = "" +
-	"5752504c41593032" + // magic "WRPLAY02"
+	"5752504c41593033" + // magic "WRPLAY03"
 	"01" + "03" + // begin record, 3 bytes
 	"00" + "01" + "01" + // async, with a plan, which can corrupt
 	"02" + "1d" + // step record, 29 bytes
@@ -66,7 +67,7 @@ const recordingABI = "" +
 	"00" + "03" + "05" + // not ActivateAll; 3 nodes: 0 and 2
 	"00" + "06" + "020004000002" + // not DeliverAll; 6 links, zigzag counts 1 0 2 0 0 1
 	"03" + "02" + // crash mask, 3 nodes: node 1
-	"03" + "000002" + // 3 recover kinds: node 2 resets
+	"03" + "05" + "0102" + // recover mask, 3 nodes: 0 resumes, 2 resets
 	"06" + "08" + // resend mask, 6 links: link 3
 	"06" + // healed 3 (zigzag)
 	"03" + // 3 fates:
@@ -78,7 +79,7 @@ const recordingABI = "" +
 	"0a" + "01" // final step 5 (zigzag), fixpoint
 
 // TestRecordingABI: a hand-built step — activation mask, delivery counts,
-// a crash, a recovery, a resend, a healed count, a drop and a corrupt fate
+// a crash, a resume and a reset recovery, a resend, a healed count, a drop and a corrupt fate
 // with its rewrite, and a Settled verdict — streams to exactly the
 // committed bytes; Load, Save and the players read them back unchanged.
 func TestRecordingABI(t *testing.T) {
@@ -89,7 +90,7 @@ func TestRecordingABI(t *testing.T) {
 	}
 	plan := fault.Decision{
 		Crash:   []bool{false, true, false},
-		Recover: []fault.RecoverKind{fault.RecoverNone, fault.RecoverNone, fault.RecoverReset},
+		Recover: []fault.RecoverKind{fault.RecoverResume, fault.RecoverNone, fault.RecoverReset},
 		Resend:  []bool{false, false, false, true, false, false},
 	}
 	fates := []fault.Fate{fault.FateDrop, fault.FateDeliver, fault.FateCorrupt}
@@ -190,13 +191,17 @@ func begin(corrupts byte) []byte {
 }
 
 // stepPayload is a step record of a plan run on a 16-node, 64-link graph,
-// up to and including its fate count.
+// up to and including its fate count, in which no node recovers.
 func stepPayload(t, fates uint64) []byte {
+	return planPayload(t, []byte{16, 0, 0}, fates)
+}
+
+// planPayload is stepPayload with the given recover mask and kinds.
+func planPayload(t uint64, recover []byte, fates uint64) []byte {
 	b := enc.Uvarint(nil, t)
 	b = append(b, 1, 1)     // ActivateAll, DeliverAll
 	b = append(b, 16, 0, 0) // crash mask
-	b = append(b, 16)       // recover kinds
-	b = append(b, make([]byte, 16)...)
+	b = append(b, recover...)
 	b = append(b, 64) // resend mask
 	b = append(b, make([]byte, 8)...)
 	b = append(b, 0) // healed
@@ -228,6 +233,10 @@ func TestLoadHostileBytes(t *testing.T) {
 		{"delivery count 1<<63", stepFrame(begin(1), enc.Uvarint([]byte{1, 1, 0}, 1<<63)...), true},
 		{"delivery count out of int32", stepFrame(begin(1),
 			append(enc.Varint([]byte{1, 1, 0, 64}, 1<<40), make([]byte, 63)...)...), true},
+		{"recover mask of 15 nodes", stepFrame(begin(1), planPayload(1, []byte{15, 0, 0}, 0)...), true},
+		{"recover bit with kind RecoverNone", stepFrame(begin(1), planPayload(1, []byte{16, 1, 0, 0}, 0)...), true},
+		{"unknown recover kind", stepFrame(begin(1), planPayload(1, []byte{16, 1, 0, 9}, 0)...), true},
+		{"recover kinds past the bytes left", stepFrame(begin(1), 1, 1, 1, 16, 0, 0, 16, 0xff, 0xff, 1), true},
 		{"fate count 1<<63", stepFrame(begin(1), stepPayload(1, 1<<63)...), true},
 		{"unknown fate", stepFrame(begin(1), append(stepPayload(1, 1), 200)...), true},
 		{"rewrite longer than the record", stepFrame(begin(1),
@@ -249,6 +258,19 @@ func TestLoadHostileBytes(t *testing.T) {
 				t.Fatalf("kept %d steps, final step %d, of a truncated stream", len(rec.steps), rec.FinalStep)
 			}
 		})
+	}
+}
+
+// TestLoadOldFormat: a recording in the previous format is refused by its
+// magic, with an error that names its version and the one Load reads. Its
+// Settled verdicts sit at the old probe steps and its recover kinds in the
+// old layout, so reading on would misreplay it.
+func TestLoadOldFormat(t *testing.T) {
+	g := graph.Torus(4, 4)
+	old := frame([]byte("WRPLAY02"), recBegin, 3, 0, 1, 0)
+	_, err := Load(bytes.NewReader(old), algorithms.MaxConsensus(g.MaxDegree()), port.Canonical(g))
+	if err == nil || !strings.Contains(err.Error(), "WRPLAY02") || !strings.Contains(err.Error(), replayMagic) {
+		t.Fatalf("Load of a WRPLAY02 stream: err = %v, want one naming WRPLAY02 and %s", err, replayMagic)
 	}
 }
 

@@ -2,7 +2,7 @@ package replay
 
 // record.go is the recording side: New wraps a run's Options so that the
 // schedule, the fault plan and the checkpoint stream all pass through a
-// Recorder, which encodes each step's decisions into one WRPLAY02 step
+// Recorder, which encodes each step's decisions into one WRPLAY03 step
 // record as the engine asks for them, keeps the record's bytes in the
 // in-memory Recording and (optionally) streams them to a writer record by
 // record — a killed process leaves a loadable prefix.

@@ -3,7 +3,7 @@
 // fault-plan decision, delivery fate, Byzantine rewrite and settledness
 // verdict, in the engine's global draw order — together with periodic
 // state snapshots, and reconstructs the run from them without re-drawing
-// any randomness. The adversary's decisions at one step make one WRPLAY02
+// any randomness. The adversary's decisions at one step make one WRPLAY03
 // step record (codec.go); a Recording keeps exactly the bytes it streams,
 // one record per step, and the players decode them straight into the
 // engine's decisions.
@@ -129,7 +129,7 @@ func (rec *Recording) Replay(m machine.Machine, p *port.Numbering, base engine.O
 	return engine.Run(m, p, opts)
 }
 
-// Save writes the recording to w in the WRPLAY02 binary format: the same
+// Save writes the recording to w in the WRPLAY03 binary format: the same
 // bytes the recorder streams. Recordings built by New with a non-nil
 // writer are already streamed; Save serializes an in-memory one after the
 // fact. Snapshot states must be gob-encodable.

@@ -2,7 +2,7 @@ package replay
 
 // replay_test.go pins the flight-recorder contract: a recorded hostile run
 // replays byte-exactly — Result, trace, journal — from step 0 and from any
-// snapshot, across worker counts and GOMAXPROCS; the WRPLAY02 file format
+// snapshot, across worker counts and GOMAXPROCS; the WRPLAY03 file format
 // round-trips and tolerates kill-truncated tails; and divergence bisection
 // names the exact first off-trajectory (step, node), cross-checked against
 // a full scan and against the journal's own fault events.
@@ -193,7 +193,7 @@ func TestReplayByteExactHostile(t *testing.T) {
 	}
 }
 
-// TestReplaySaveLoadRoundTrip: the streamed WRPLAY02 file, the after-the-
+// TestReplaySaveLoadRoundTrip: the streamed WRPLAY03 file, the after-the-
 // fact Save output and the in-memory recording all decode to the same
 // recording, and the loaded recording replays byte-exactly.
 func TestReplaySaveLoadRoundTrip(t *testing.T) {
