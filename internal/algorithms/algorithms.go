@@ -16,6 +16,19 @@
 //	MaxConsensus  MB     gossips the maximum degree forever: it never halts
 //	                     and settles after diameter-many rounds, the
 //	                     async executor's fixpoint-detection workload.
+//
+// A machine's message set is fixed once Δ is (§1.1), and the machines
+// here build it once: μ and Halted hand out strings from a table made
+// when the machine is constructed (intAlphabet, for the integers
+// 0..hi), and δ and the message guard decode them with an
+// allocation-free digit loop (decodeInt). Nothing is formatted per
+// message, and only what the loop cannot read goes through strconv.
+// The bytes are those term.Int(n).Encode() gives, so journals and
+// recordings stay as they were. New machines follow the same
+// convention. Outside it are VertexCover2, whose offers are exact
+// rationals, a set that Δ does not fix, and LocalTypeMax, which sends
+// its port numbers from a table but reads them, once per in-port per
+// run, and its type tuples as parsed terms.
 package algorithms
 
 import (
@@ -38,6 +51,8 @@ func LeafElect(delta int) machine.Machine {
 		Done bool
 		Out  machine.Output
 	}
+	ports := newIntAlphabet(delta)
+	one := ports.encode(1)
 	return &machine.Func{
 		MachineName:  "leaf-elect",
 		MachineClass: machine.ClassSV,
@@ -48,12 +63,12 @@ func LeafElect(delta int) machine.Machine {
 			return x.Out, x.Done
 		},
 		SendFunc: func(s machine.State, p int) machine.Message {
-			return machine.EncodeTerm(term.Int(int64(p)))
+			return ports.encode(p)
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
 			x := s.(st)
 			out := machine.Output("0")
-			if x.Deg == 1 && len(inbox) == 1 && inbox[0] == machine.EncodeTerm(term.Int(1)) {
+			if x.Deg == 1 && len(inbox) == 1 && inbox[0] == one {
 				out = "1"
 			}
 			return st{Deg: x.Deg, Done: true, Out: out}
@@ -70,6 +85,8 @@ func OddOdd(delta int) machine.Machine {
 		Done bool
 		Out  machine.Output
 	}
+	parity := newIntAlphabet(1)
+	one := parity.encode(1)
 	return &machine.Func{
 		MachineName:  "odd-odd",
 		MachineClass: machine.ClassMB,
@@ -80,13 +97,13 @@ func OddOdd(delta int) machine.Machine {
 			return x.Out, x.Done
 		},
 		SendFunc: func(s machine.State, _ int) machine.Message {
-			return machine.EncodeTerm(term.Int(int64(s.(st).Deg % 2)))
+			return parity.encode(s.(st).Deg % 2)
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
 			x := s.(st)
 			odd := 0
 			for _, m := range inbox {
-				if m == machine.EncodeTerm(term.Int(1)) {
+				if m == one {
 					odd++
 				}
 			}
@@ -136,6 +153,7 @@ func LocalTypeMax(delta int) machine.Machine {
 		}
 		return term.Tuple(kids...).Encode()
 	}
+	ports := newIntAlphabet(delta)
 	return &machine.Func{
 		MachineName:  "local-type-max",
 		MachineClass: machine.ClassVV,
@@ -157,7 +175,7 @@ func LocalTypeMax(delta int) machine.Machine {
 			x := s.(st)
 			if x.Round == 0 {
 				// Tell the far end which of our ports feeds it.
-				return machine.EncodeTerm(term.Int(int64(p)))
+				return ports.encode(p)
 			}
 			return machine.Message(x.Type)
 		},
@@ -176,9 +194,17 @@ func LocalTypeMax(delta int) machine.Machine {
 				}
 				return st{Deg: x.Deg, Round: 1, Type: encodeType(tvec)}
 			}
+			// Types compare lexicographically as terms. The own type is
+			// parsed once, after the first neighbour's, so a malformed
+			// message or type panics exactly where it always has.
 			out := machine.Output("1")
+			var own term.Term
 			for _, m := range inbox {
-				if compareTypes(string(m), x.Type) > 0 {
+				t := term.MustParse(m)
+				if own.IsZero() {
+					own = term.MustParse(x.Type)
+				}
+				if term.Compare(t, own) > 0 {
 					out = "0"
 					break
 				}
@@ -186,19 +212,6 @@ func LocalTypeMax(delta int) machine.Machine {
 			return st{Deg: x.Deg, Round: 2, Type: x.Type, Done: true, Out: out}
 		},
 	}
-}
-
-// compareTypes orders encoded local types lexicographically.
-func compareTypes(a, b string) int {
-	ta, err := term.Parse(a)
-	if err != nil {
-		panic(err)
-	}
-	tb, err := term.Parse(b)
-	if err != nil {
-		panic(err)
-	}
-	return term.Compare(ta, tb)
 }
 
 // vcState is the VertexCover2 per-node state. Rationals are stored as

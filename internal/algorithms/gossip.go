@@ -7,20 +7,6 @@ import (
 	"weakmodels/internal/machine"
 )
 
-// boundedIntMessage is the MessageGuard predicate of the integer gossips:
-// it accepts exactly the decimal encodings of integers in [0, hi]. Under a
-// Byzantine fault plan the engine then delivers out-of-alphabet garbage as
-// m0 (which the Step functions already skip), and rejects
-// in-alphabet-but-out-of-range lies — essential for monotone aggregates
-// like max, where a single value above the true maximum would poison the
-// configuration forever.
-func boundedIntMessage(hi int) func(machine.Message) bool {
-	return func(m machine.Message) bool {
-		n, err := strconv.Atoi(string(m))
-		return err == nil && n >= 0 && n <= hi
-	}
-}
-
 // MaxDegreeWithin computes, at every node, the maximum degree occurring
 // within distance k — a semilattice gossip that works in class MB: max is
 // insensitive to both message order and multiplicity (it would even be an
@@ -32,6 +18,7 @@ func MaxDegreeWithin(delta, k int) machine.Machine {
 		Round int
 		Done  bool
 	}
+	ints := newIntAlphabet(delta)
 	return &machine.Func{
 		MachineName:  fmt.Sprintf("max-degree-within-%d", k),
 		MachineClass: machine.ClassMB,
@@ -41,10 +28,10 @@ func MaxDegreeWithin(delta, k int) machine.Machine {
 		},
 		HaltedFunc: func(s machine.State) (machine.Output, bool) {
 			x := s.(st)
-			return machine.Output(strconv.Itoa(x.Best)), x.Done
+			return ints.encode(x.Best), x.Done
 		},
 		SendFunc: func(s machine.State, _ int) machine.Message {
-			return machine.Message(strconv.Itoa(s.(st).Best))
+			return ints.encode(s.(st).Best)
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
 			x := s.(st)
@@ -52,8 +39,8 @@ func MaxDegreeWithin(delta, k int) machine.Machine {
 				if m == machine.NoMessage {
 					continue
 				}
-				n, err := strconv.Atoi(string(m))
-				if err != nil {
+				n, ok := decodeInt(m)
+				if !ok {
 					panic(fmt.Sprintf("algorithms: bad gossip message %q", m))
 				}
 				if n > x.Best {
@@ -64,7 +51,7 @@ func MaxDegreeWithin(delta, k int) machine.Machine {
 			x.Done = x.Round >= k
 			return x
 		},
-		ValidFunc: boundedIntMessage(delta),
+		ValidFunc: ints.valid,
 	}
 }
 
@@ -86,6 +73,7 @@ func MaxDegreeWithin(delta, k int) machine.Machine {
 // legitimate value is ≤ Δ — the global maximum itself — an in-range lie
 // is washed out by the monotone convergence to Δ.
 func MaxConsensus(delta int) machine.Machine {
+	ints := newIntAlphabet(delta)
 	return &machine.Func{
 		MachineName:  "max-consensus",
 		MachineClass: machine.ClassMB,
@@ -93,7 +81,7 @@ func MaxConsensus(delta int) machine.Machine {
 		InitFunc:     func(deg int) machine.State { return deg },
 		HaltedFunc:   func(machine.State) (machine.Output, bool) { return "", false },
 		SendFunc: func(s machine.State, _ int) machine.Message {
-			return machine.Message(strconv.Itoa(s.(int)))
+			return ints.encode(s.(int))
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
 			best := s.(int)
@@ -101,8 +89,9 @@ func MaxConsensus(delta int) machine.Machine {
 				if msg == machine.NoMessage {
 					continue
 				}
-				v, err := strconv.Atoi(string(msg))
-				if err != nil {
+				v, ok := decodeInt(msg)
+				if !ok {
+					_, err := strconv.Atoi(msg) // the panic value it always was
 					panic(err)
 				}
 				if v > best {
@@ -111,6 +100,6 @@ func MaxConsensus(delta int) machine.Machine {
 			}
 			return best
 		},
-		ValidFunc: boundedIntMessage(delta),
+		ValidFunc: ints.valid,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"weakmodels/internal/analysis/allocgen"
 	"weakmodels/internal/engine"
 	"weakmodels/internal/graph"
 	"weakmodels/internal/machine"
@@ -59,5 +60,35 @@ func TestMaxDegreeWithinValidatorRejects(t *testing.T) {
 	wrong := []machine.Output{"3", "3", "3", "1"}
 	if err := problem.Validate(g, wrong); err == nil {
 		t.Error("wrong maximum accepted")
+	}
+}
+
+// TestMaxDegreeWithinAllocations pins what the machine allocates at
+// sync-gossip's Δ = 175: nothing in μ or Halted, and exactly one
+// allocation in δ, the state boxed into machine.State, which is any.
+func TestMaxDegreeWithinAllocations(t *testing.T) {
+	if allocgen.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const delta = 175
+	m := MaxDegreeWithin(delta, 16)
+	s := m.Init(delta) // the hub: its value is past strconv's small-int cache
+	inbox := make([]machine.Message, delta)
+	for i := range inbox {
+		inbox[i] = m.Send(m.Init(i+1), 1)
+	}
+	inbox = machine.CanonicalInbox(machine.RecvMultiset, inbox)
+	for _, c := range []struct {
+		name string
+		want float64
+		call func()
+	}{
+		{"μ", 0, func() { m.Send(s, 1) }},
+		{"Halted", 0, func() { m.Halted(s) }},
+		{"δ", 1, func() { m.Step(s, inbox) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.call); got != c.want {
+			t.Errorf("%s: %.1f allocs per call, want %.0f", c.name, got, c.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"fmt"
-	"strconv"
 
 	"weakmodels/internal/machine"
 )
@@ -90,6 +89,7 @@ func LeafProximity(delta, k int) machine.Machine {
 // recompute-from-inbox iteration converges away from. Class MB: min is
 // insensitive to message order and multiplicity.
 func LeafProximityStab(delta, k int) machine.Machine {
+	ints := newIntAlphabet(k + 1)
 	return &machine.Func{
 		MachineName:  fmt.Sprintf("leaf-proximity-stab-%d", k),
 		MachineClass: machine.ClassMB,
@@ -102,7 +102,7 @@ func LeafProximityStab(delta, k int) machine.Machine {
 		},
 		HaltedFunc: func(machine.State) (machine.Output, bool) { return "", false },
 		SendFunc: func(s machine.State, _ int) machine.Message {
-			return machine.Message(strconv.Itoa(s.(int)))
+			return ints.encode(s.(int))
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
 			// Multiset semantics keeps one entry per in-port, so the inbox
@@ -115,8 +115,8 @@ func LeafProximityStab(delta, k int) machine.Machine {
 				if msg == machine.NoMessage {
 					continue
 				}
-				n, err := strconv.Atoi(string(msg))
-				if err != nil {
+				n, ok := decodeInt(msg)
+				if !ok {
 					panic(fmt.Sprintf("algorithms: bad distance message %q", msg))
 				}
 				if n+1 < d {
@@ -125,6 +125,6 @@ func LeafProximityStab(delta, k int) machine.Machine {
 			}
 			return d
 		},
-		ValidFunc: boundedIntMessage(k + 1),
+		ValidFunc: ints.valid,
 	}
 }

@@ -84,6 +84,7 @@ func oddOddBroadcastVector(delta int) machine.Machine {
 		Done bool
 		Out  machine.Output
 	}
+	one := machine.EncodeTerm(term.Int(1))
 	return &machine.Func{
 		MachineName:  "odd-odd-vb",
 		MachineClass: machine.ClassVB,
@@ -101,7 +102,7 @@ func oddOddBroadcastVector(delta int) machine.Machine {
 			odd := 0
 			for i, m := range inbox {
 				_ = i // vector position available; parity count ignores it
-				if m == machine.EncodeTerm(term.Int(1)) {
+				if m == one {
 					odd++
 				}
 			}

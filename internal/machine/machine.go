@@ -203,14 +203,12 @@ func CanonicalInboxInto(mode RecvMode, inbox, scratch []Message) []Message {
 // high-degree nodes (stars, complete graphs) fall through to pdqsort.
 const insertionSortCutoff = 16
 
-// sortMessages sorts by the canonical term order where both messages parse
-// as terms, falling back to plain string order (the encodings are designed
-// so both orders are total; string order suffices for canonical grouping,
-// but term order matches <M in the paper's constructions).
+// sortMessages sorts ms in plain string order. That order is total and
+// groups equal messages, which is all the Multiset and Set modes need; it
+// is not the term order <M, so the simulations that need <M sort decoded
+// terms themselves. Comparing two strings that share their backing bytes,
+// as equal messages from one table do, returns without reading them.
 func sortMessages(ms []Message) {
-	// Message encodings compare consistently as strings for equality
-	// grouping; the simulations that need the exact term order <M sort
-	// decoded terms themselves. Keep this simple and total.
 	if len(ms) > insertionSortCutoff {
 		slices.Sort(ms)
 		return
