@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // bfsorder.go implements the locality-aware node orders used to shard a
 // graph across workers. A contiguous slice of a breadth-first order is a
 // connected, roughly ball-shaped patch of the graph, so partitioning nodes
@@ -31,14 +29,22 @@ func computeBFSOrder(g *Graph) []int {
 	n := g.N()
 	order := make([]int, 0, n)
 	visited := make([]bool, n)
-	// Root candidates in degree-descending order, ties to the lowest id.
-	roots := make([]int, n)
-	for v := range roots {
-		roots[v] = v
+	// Root candidates in degree-descending order, ties to the lowest id: a
+	// stable counting sort, where start[top-d] is the first rank of degree d.
+	top := g.MaxDegree()
+	start := make([]int, top+2)
+	for _, a := range g.adj {
+		start[top-len(a)+1]++
 	}
-	sort.SliceStable(roots, func(i, j int) bool {
-		return g.Degree(roots[i]) > g.Degree(roots[j])
-	})
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	roots := make([]int, n)
+	for v, a := range g.adj {
+		k := top - len(a)
+		roots[start[k]] = v
+		start[k]++
+	}
 	for _, root := range roots {
 		if visited[root] {
 			continue

@@ -295,31 +295,31 @@ func PreferentialAttachment(n, m int, seed int64) (*Graph, error) {
 		return nil, fmt.Errorf("graph: preferential attachment needs 1 ≤ m and n > m+1, got n=%d m=%d", n, m)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var edges []Edge
+	edges := make([]Edge, 0, m*(m+1)/2+(n-m-1)*m)
 	// endpoints holds every edge endpoint seen so far, so a uniform draw
 	// from it is a degree-proportional draw over nodes.
-	endpoints := make([]int, 0, 2*(m*(m+1)/2+(n-m-1)*m))
+	endpoints := make([]int, 0, 2*cap(edges))
 	for u := 0; u <= m; u++ {
 		for w := u + 1; w <= m; w++ {
 			edges = append(edges, Edge{U: u, V: w})
 			endpoints = append(endpoints, u, w)
 		}
 	}
-	// targets keeps draw order (a map would iterate in randomized order and
-	// break seeded determinism); seen enforces distinctness.
+	// targets keeps draw order; drawn marks the nodes in it, so that the m
+	// targets are distinct.
 	targets := make([]int, 0, m)
-	seen := make(map[int]bool, m)
+	drawn := make([]bool, n)
 	for v := m + 1; v < n; v++ {
 		targets = targets[:0]
-		clear(seen)
 		for len(targets) < m {
 			u := endpoints[rng.Intn(len(endpoints))]
-			if !seen[u] {
-				seen[u] = true
+			if !drawn[u] {
+				drawn[u] = true
 				targets = append(targets, u)
 			}
 		}
 		for _, u := range targets {
+			drawn[u] = false
 			edges = append(edges, Edge{U: u, V: v})
 		}
 		// Append endpoints only after all m draws so a node cannot attach

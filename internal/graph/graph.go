@@ -8,13 +8,16 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Graph is an immutable simple undirected graph on nodes 0..N-1. The zero
 // Graph is the empty graph. Adjacency lists are kept sorted, so "port i of
-// node v in adjacency order" is deterministic.
+// node v in adjacency order" is deterministic. All lists are cut from one
+// backing array, each with its capacity clipped to its length, so the
+// graph costs a fixed number of allocations whatever its size.
 type Graph struct {
 	adj [][]int
 
@@ -39,13 +42,14 @@ func (e Edge) normalise() Edge {
 
 // New builds a graph on n nodes from the given edges. It returns an error if
 // an edge endpoint is out of range, a self-loop is present, or an edge is
-// duplicated (the graphs of the paper are simple).
+// duplicated (the graphs of the paper are simple). When several edges are
+// bad, the error names the first out-of-range or self-loop edge of the
+// input if there is one, and otherwise the duplicate at the lowest node.
 func New(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
-	adj := make([][]int, n)
-	seen := make(map[Edge]bool, len(edges))
+	deg := make([]int, n)
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
@@ -53,16 +57,30 @@ func New(n int, edges []Edge) (*Graph, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at node %d", e.U)
 		}
-		ne := e.normalise()
-		if seen[ne] {
-			return nil, fmt.Errorf("graph: duplicate edge %v", ne)
-		}
-		seen[ne] = true
+		deg[e.U]++
+		deg[e.V]++
+	}
+	nbrs := make([]int, 2*len(edges))
+	adj := make([][]int, n)
+	lo := 0
+	for v, d := range deg {
+		hi := lo + d
+		adj[v] = nbrs[lo:lo:hi]
+		lo = hi
+	}
+	for _, e := range edges {
 		adj[e.U] = append(adj[e.U], e.V)
 		adj[e.V] = append(adj[e.V], e.U)
 	}
-	for _, a := range adj {
-		sort.Ints(a)
+	// A sorted list shows a duplicate edge as two equal neighbours side by
+	// side, and the lower endpoint's list is checked first.
+	for v, a := range adj {
+		slices.Sort(a)
+		for i := 1; i < len(a); i++ {
+			if a[i] == a[i-1] {
+				return nil, fmt.Errorf("graph: duplicate edge %v", Edge{U: v, V: a[i]})
+			}
+		}
 	}
 	return &Graph{adj: adj}, nil
 }
@@ -103,7 +121,10 @@ func (g *Graph) MaxDegree() int {
 }
 
 // Neighbors returns the sorted neighbours of v. The returned slice is shared
-// and must not be modified by the caller; use NeighborsCopy to mutate.
+// and must not be modified by the caller; use NeighborsCopy to mutate. It
+// is a window of the graph's one backing array with its capacity clipped
+// to its length, so an append to it copies instead of overwriting the next
+// node's list.
 func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 
 // NeighborsCopy returns a fresh copy of the neighbours of v.

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -28,6 +30,77 @@ func TestNewValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// newReference is the map-based construction New replaced: it checks the
+// edges in input order against a set of the edges seen so far, appends to
+// per-node lists and sorts them.
+func newReference(n int, edges []Edge) ([][]int, bool) {
+	if n < 0 {
+		return nil, false
+	}
+	adj := make([][]int, n)
+	seen := make(map[Edge]bool, len(edges))
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V || seen[e.normalise()] {
+			return nil, false
+		}
+		seen[e.normalise()] = true
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	for _, a := range adj {
+		sort.Ints(a)
+	}
+	return adj, true
+}
+
+// decodeGraph reads n ∈ [-1, 64] from the first byte and one edge from
+// each further pair of bytes, with endpoints in [-1, n], so that inputs
+// hit every rejection as well as valid graphs.
+func decodeGraph(data []byte) (int, []Edge) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	n := int(data[0]%66) - 1
+	var edges []Edge
+	for i := 1; i+1 < len(data); i += 2 {
+		edges = append(edges, Edge{U: int(data[i])%(n+2) - 1, V: int(data[i+1])%(n+2) - 1})
+	}
+	return n, edges
+}
+
+// FuzzGraphNew checks New against newReference on arbitrary edge lists: it
+// must accept exactly the lists the reference accepts, never panic, and
+// build the reference's sorted lists, each with its capacity clipped.
+func FuzzGraphNew(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})                                  // n = -1
+	f.Add([]byte{6, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1})    // C_5 on nodes 0..4
+	f.Add([]byte{6, 1, 2, 2, 3, 2, 1})                // duplicate, reversed
+	f.Add([]byte{6, 1, 2, 3, 3})                      // self-loop
+	f.Add([]byte{6, 0, 2, 6, 2})                      // endpoints -1 and n
+	f.Add([]byte{65, 1, 64, 64, 2, 2, 3, 3, 9, 9, 2}) // n = 64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, edges := decodeGraph(data)
+		g, err := New(n, edges)
+		want, ok := newReference(n, edges)
+		if (err == nil) != ok {
+			t.Fatalf("New(%d, %v): err = %v, reference accepts = %v", n, edges, err, ok)
+		}
+		if !ok {
+			return
+		}
+		if g.N() != n || g.M() != len(edges) {
+			t.Fatalf("New(%d, %v) = %v", n, edges, g)
+		}
+		for v, a := range want {
+			got := g.Neighbors(v)
+			if !slices.Equal(got, a) || cap(got) != len(got) {
+				t.Fatalf("New(%d, %v): node %d lists %v (cap %d), want %v", n, edges, v, got, cap(got), a)
+			}
+		}
+	})
 }
 
 func TestBasicAccessors(t *testing.T) {

@@ -14,6 +14,7 @@ package kripke
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"weakmodels/internal/port"
 )
@@ -166,7 +167,7 @@ func (m *Model) PropSig(v int) string {
 }
 
 // DegreeProp returns the proposition name q_d of the valuation Φ_Δ.
-func DegreeProp(d int) string { return fmt.Sprintf("q%d", d) }
+func DegreeProp(d int) string { return "q" + strconv.Itoa(d) }
 
 // FromPorts builds the Kripke model Ka,b(G, p) for the requested variant.
 // The valuation sets q_d exactly at the nodes of degree d ≥ 1 (Φ_Δ contains
@@ -174,9 +175,13 @@ func DegreeProp(d int) string { return fmt.Sprintf("q%d", d) }
 func FromPorts(p *port.Numbering, variant Variant) *Model {
 	g := p.Graph()
 	m := NewModel(g.N())
+	names := make([]string, g.MaxDegree()+1)
 	for v := 0; v < g.N(); v++ {
 		if d := g.Degree(v); d >= 1 {
-			m.SetProp(DegreeProp(d), v)
+			if names[d] == "" {
+				names[d] = DegreeProp(d)
+			}
+			m.SetProp(names[d], v)
 		}
 	}
 	// For every port (w, j), p((w,j)) = (u, i) contributes (u, w) to R(i,j).

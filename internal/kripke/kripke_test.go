@@ -1,6 +1,7 @@
 package kripke
 
 import (
+	"fmt"
 	"testing"
 
 	"weakmodels/internal/graph"
@@ -177,5 +178,15 @@ func BenchmarkKripkeBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FromPorts(p, VariantPP)
+	}
+}
+
+// TestDegreePropNames checks DegreeProp against the fmt form it replaced,
+// on negative, small and multi-digit degrees.
+func TestDegreePropNames(t *testing.T) {
+	for d := -3; d <= 300; d++ {
+		if got, want := DegreeProp(d), fmt.Sprintf("q%d", d); got != want {
+			t.Errorf("DegreeProp(%d) = %q, want %q", d, got, want)
+		}
 	}
 }

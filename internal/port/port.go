@@ -119,14 +119,17 @@ func (p *Numbering) IsConsistent() bool {
 
 // Validate checks the internal bijection invariants; constructors call it.
 func (p *Numbering) Validate() error {
+	top := p.g.MaxDegree()
+	seenOutBuf, seenInBuf := make([]bool, top), make([]bool, top)
 	for v := 0; v < p.g.N(); v++ {
 		d := p.g.Degree(v)
 		if len(p.out[v]) != d || len(p.in[v]) != d {
 			return fmt.Errorf("port: node %d has %d out / %d in assignments, want %d",
 				v, len(p.out[v]), len(p.in[v]), d)
 		}
-		seenOut := make([]bool, d)
-		seenIn := make([]bool, d)
+		seenOut, seenIn := seenOutBuf[:d], seenInBuf[:d]
+		clear(seenOut)
+		clear(seenIn)
 		for i := 0; i < d; i++ {
 			a := p.out[v][i]
 			if a < 0 || a >= d || seenOut[a] {
@@ -155,23 +158,38 @@ func FromRaw(g *graph.Graph, out, in [][]int) (*Numbering, error) {
 	return p, nil
 }
 
-// Canonical returns the natural consistent port numbering: out-port i of v
-// points at its i-th neighbour in adjacency order, and in-port numbers equal
-// the receiver's adjacency index of the sender. This numbering is always
-// consistent.
-func Canonical(g *graph.Graph) *Numbering {
+// carve returns per-node out and in assignments of length deg(v), zeroed
+// and all cut from one backing array, each with its capacity clipped.
+func carve(g *graph.Graph) (out, in [][]int) {
 	n := g.N()
-	out := make([][]int, n)
-	in := make([][]int, n)
-	for v := 0; v < n; v++ {
+	flat := make([]int, 4*g.M())
+	heads := make([][]int, 2*n)
+	out, in = heads[:n:n], heads[n:]
+	lo := 0
+	for v := range out {
 		d := g.Degree(v)
-		out[v] = make([]int, d)
-		in[v] = make([]int, d)
-		for i := 0; i < d; i++ {
-			out[v][i] = i
-			in[v][i] = i + 1
-		}
+		out[v] = flat[lo : lo+d : lo+d]
+		in[v] = flat[lo+d : lo+2*d : lo+2*d]
+		lo += 2 * d
 	}
+	return out, in
+}
+
+// drawPerm fills a with a permutation of 0..len(a)-1, drawn exactly as
+// rng.Perm(len(a)) draws it, including Perm's no-op Intn(1) at i=0: a
+// seeded numbering stays the one math/rand's stream gives.
+func drawPerm(rng *rand.Rand, a []int) {
+	for i := range a {
+		j := rng.Intn(i + 1)
+		a[i] = a[j]
+		a[j] = i
+	}
+}
+
+// mustValid returns the numbering of g with the given assignments, and
+// panics if they are not bijections: the constructors below build them
+// so.
+func mustValid(g *graph.Graph, out, in [][]int) *Numbering {
 	p := &Numbering{g: g, out: out, in: in}
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -179,60 +197,59 @@ func Canonical(g *graph.Graph) *Numbering {
 	return p
 }
 
+// Canonical returns the natural consistent port numbering: out-port i of v
+// points at its i-th neighbour in adjacency order, and in-port numbers equal
+// the receiver's adjacency index of the sender. This numbering is always
+// consistent.
+func Canonical(g *graph.Graph) *Numbering {
+	out, in := carve(g)
+	for v := range out {
+		for i := range out[v] {
+			out[v][i] = i
+			in[v][i] = i + 1
+		}
+	}
+	return mustValid(g, out, in)
+}
+
 // Random returns a uniformly random (generally inconsistent) port numbering:
 // independent random out and in bijections at every node.
 func Random(g *graph.Graph, rng *rand.Rand) *Numbering {
-	n := g.N()
-	out := make([][]int, n)
-	in := make([][]int, n)
-	for v := 0; v < n; v++ {
-		d := g.Degree(v)
-		out[v] = rng.Perm(d)
-		in[v] = make([]int, d)
-		for i, x := range rng.Perm(d) {
-			in[v][i] = x + 1
+	out, in := carve(g)
+	for v := range out {
+		drawPerm(rng, out[v])
+		drawPerm(rng, in[v])
+		for i := range in[v] {
+			in[v][i]++
 		}
 	}
-	p := &Numbering{g: g, out: out, in: in}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
+	return mustValid(g, out, in)
 }
 
 // RandomConsistent returns a uniformly random consistent port numbering:
 // a random out bijection per node, with in-ports forced by consistency
 // (p((u,i)) = (v,j) requires p((v,j)) = (u,i)).
 func RandomConsistent(g *graph.Graph, rng *rand.Rand) *Numbering {
-	n := g.N()
-	out := make([][]int, n)
-	for v := 0; v < n; v++ {
-		out[v] = rng.Perm(g.Degree(v))
+	out, in := carve(g)
+	for _, o := range out {
+		drawPerm(rng, o)
 	}
-	return fromOutConsistent(g, out)
+	return fromOutConsistent(g, out, in)
 }
 
-// fromOutConsistent builds the unique consistent numbering with the given
-// out assignment: the in-port of v for the edge from u equals u's slot in
-// v's out assignment.
-func fromOutConsistent(g *graph.Graph, out [][]int) *Numbering {
-	n := g.N()
-	in := make([][]int, n)
-	for v := 0; v < n; v++ {
-		d := g.Degree(v)
-		in[v] = make([]int, d)
-		for i := 0; i < d; i++ {
-			// out[v][i] = adjacency index a: out-port i+1 of v points at
-			// neighbour a. Consistency: the same port is also the in-port
-			// for messages from that neighbour.
-			in[v][out[v][i]] = i + 1
+// fromOutConsistent fills in with the unique consistent numbering of the
+// given out assignment and returns it: the in-port of v for the edge from
+// u equals u's slot in v's out assignment.
+func fromOutConsistent(g *graph.Graph, out, in [][]int) *Numbering {
+	for v := range out {
+		for i, a := range out[v] {
+			// out-port i+1 of v points at neighbour a. Consistency: the
+			// same port is also the in-port for messages from that
+			// neighbour.
+			in[v][a] = i + 1
 		}
 	}
-	p := &Numbering{g: g, out: out, in: in}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
+	return mustValid(g, out, in)
 }
 
 // FromPermutationFactors builds the symmetric port numbering of Lemma 15
@@ -247,13 +264,7 @@ func FromPermutationFactors(g *graph.Graph, perms [][]int) (*Numbering, error) {
 		return nil, fmt.Errorf("port: need a %d-regular graph with %d factors, got %d factors",
 			k, k, len(perms))
 	}
-	n := g.N()
-	out := make([][]int, n)
-	in := make([][]int, n)
-	for v := 0; v < n; v++ {
-		out[v] = make([]int, k)
-		in[v] = make([]int, k)
-	}
+	out, in := carve(g)
 	for i, perm := range perms {
 		for u, v := range perm {
 			au := g.NeighborIndex(u, v)
@@ -283,25 +294,18 @@ func FromPermutationFactors(g *graph.Graph, perms [][]int) (*Numbering, error) {
 // (Section 3.1).
 func SymmetricCycle(n int) *Numbering {
 	g := graph.Cycle(n)
-	out := make([][]int, n)
-	in := make([][]int, n)
+	out, in := carve(g)
 	for v := 0; v < n; v++ {
 		succ := (v + 1) % n
 		pred := (v + n - 1) % n
 		aSucc := g.NeighborIndex(v, succ)
 		aPred := g.NeighborIndex(v, pred)
-		out[v] = make([]int, 2)
-		in[v] = make([]int, 2)
 		out[v][0] = aSucc // port 1 → successor
 		out[v][1] = aPred // port 2 → predecessor
 		in[v][aPred] = 2  // predecessor sent on its port 1, arrives at port 2
 		in[v][aSucc] = 1  // successor sent on its port 2, arrives at port 1
 	}
-	p := &Numbering{g: g, out: out, in: in}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
+	return mustValid(g, out, in)
 }
 
 // All enumerates every port numbering of g (all combinations of per-node out
@@ -317,16 +321,16 @@ func All(g *graph.Graph, limit int) ([]*Numbering, error) {
 		return nil, err
 	}
 	var result []*Numbering
-	for _, out := range outChoices {
+	for _, out0 := range outChoices {
 		for _, in0 := range inChoices {
-			in := make([][]int, g.N())
-			for v := range in0 {
-				in[v] = make([]int, len(in0[v]))
+			out, in := carve(g)
+			for v := range out {
+				copy(out[v], out0[v])
 				for i, x := range in0[v] {
 					in[v][i] = x + 1
 				}
 			}
-			p := &Numbering{g: g, out: deepCopy(out), in: in}
+			p := &Numbering{g: g, out: out, in: in}
 			if err := p.Validate(); err != nil {
 				return nil, err
 			}
@@ -347,8 +351,12 @@ func AllConsistent(g *graph.Graph, limit int) ([]*Numbering, error) {
 		return nil, err
 	}
 	result := make([]*Numbering, 0, len(outChoices))
-	for _, out := range outChoices {
-		result = append(result, fromOutConsistent(g, deepCopy(out)))
+	for _, out0 := range outChoices {
+		out, in := carve(g)
+		for v := range out {
+			copy(out[v], out0[v])
+		}
+		result = append(result, fromOutConsistent(g, out, in))
 		if len(result) > limit {
 			return nil, fmt.Errorf("port: more than %d consistent numberings", limit)
 		}
@@ -400,14 +408,6 @@ func permutations(d int) [][]int {
 		}
 	}
 	rec(nil, make([]bool, d))
-	return out
-}
-
-func deepCopy(xs [][]int) [][]int {
-	out := make([][]int, len(xs))
-	for i, x := range xs {
-		out[i] = append([]int(nil), x...)
-	}
 	return out
 }
 

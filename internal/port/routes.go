@@ -38,18 +38,25 @@ func compileRoutes(p *Numbering) *Routes {
 		dest: make([]int32, total),
 		src:  make([]int32, total),
 	}
+	// back[a] is v's index in the list of its a-th neighbour u. Lists are
+	// sorted and nodes visited in id order, so that index is the number of
+	// u's neighbours visited before v: visits[u].
+	visits := make([]int32, n)
+	back := make([]int32, g.MaxDegree())
 	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		for j := 0; j < deg; j++ {
-			r.node[int(off[v])+j] = int32(v)
-			a := p.out[v][j]
-			u := g.Neighbor(v, a)
-			back := g.NeighborIndex(u, v)
-			i := p.in[u][back]
-			s := off[v] + int32(j)
-			t := off[u] + int32(i-1)
+		nbrs := g.Neighbors(v)
+		for a, u := range nbrs {
+			back[a] = visits[u]
+			visits[u]++
+		}
+		s := off[v]
+		for _, a := range p.out[v] {
+			u := nbrs[a]
+			t := off[u] + int32(p.in[u][back[a]]-1)
+			r.node[s] = int32(v)
 			r.dest[s] = t
 			r.src[t] = s
+			s++
 		}
 	}
 	return r
