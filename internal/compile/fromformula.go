@@ -351,17 +351,34 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 	if err != nil {
 		return nil, 0, err
 	}
-	m := &machine.Func{
-		MachineName:  fmt.Sprintf("compiled[%s]", f.String()),
+	return c.machine(fmt.Sprintf("compiled[%s]", f.String()), c.settleRoot), c.variant, nil
+}
+
+// settleRoot makes the state of a node with values vals: it halts once ψ
+// is decided, with output "1" where ψ holds.
+func (c *compiled) settleRoot(vals []Tri) fmState {
+	s := fmState{Vals: vals}
+	if vals[c.root] != TriU {
+		s.Done = true
+		s.Out = outputOf(vals[c.root])
+	}
+	return s
+}
+
+// machine wraps c as a local algorithm named name, whose nodes take the
+// state settle makes of their values. Nodes of degree 0..Δ start from a
+// table built here; any other degree's start is computed on the spot.
+func (c *compiled) machine(name string, settle func(vals []Tri) fmState) *machine.Func {
+	starts := c.startTable(settle)
+	return &machine.Func{
+		MachineName:  name,
 		MachineClass: c.class(),
-		MaxDeg:       delta,
+		MaxDeg:       c.delta,
 		InitFunc: func(deg int) machine.State {
-			s := fmState{Vals: c.initVals(deg)}
-			if s.Vals[c.root] != TriU {
-				s.Done = true
-				s.Out = outputOf(s.Vals[c.root])
+			if deg >= 0 && deg < len(starts) {
+				return starts[deg]
 			}
-			return s
+			return settle(c.initVals(deg))
 		},
 		HaltedFunc: func(s machine.State) (machine.Output, bool) {
 			x := s.(fmState)
@@ -371,17 +388,47 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 			return c.send(s.(fmState).Vals, port)
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
-			next := c.step(s.(fmState).Vals, inbox)
-			out := fmState{Vals: next}
-			if next[c.root] != TriU {
-				out.Done = true
-				out.Out = outputOf(next[c.root])
-			}
-			return out
+			return settle(c.step(s.(fmState).Vals, inbox))
 		},
 		ValidFunc: c.validMessage,
 	}
-	return m, c.variant, nil
+}
+
+// startTable returns the boxed initial state of every degree 0..Δ. The
+// initial values depend on the degree d only through the propositions
+// q_d of the formula, so each degree that one of them names gets its own
+// state and all other degrees share one. Sharing is safe because step
+// copies the values before it writes.
+func (c *compiled) startTable(settle func(vals []Tri) fmState) []machine.State {
+	starts := make([]machine.State, c.delta+1)
+	for _, s := range c.subs {
+		if d, ok := c.namedDegree(s); ok && starts[d] == nil {
+			starts[d] = settle(c.initVals(d))
+		}
+	}
+	shared := machine.State(settle(c.initVals(0)))
+	for d, st := range starts {
+		if st == nil {
+			starts[d] = shared
+		}
+	}
+	return starts
+}
+
+// namedDegree returns d when s is a proposition "q" + d for a decimal d
+// in [1, Δ]. That includes names such as q04, which no degree's q_d
+// equals; they only cost their degree a state of its own.
+func (c *compiled) namedDegree(s logic.Formula) (int, bool) {
+	q, ok := s.(logic.Prop)
+	if !ok {
+		return 0, false
+	}
+	digits, ok := strings.CutPrefix(q.Name, "q")
+	d, err := strconv.Atoi(digits)
+	if !ok || err != nil || d < 1 || d > c.delta {
+		return 0, false
+	}
+	return d, true
 }
 
 func outputOf(v Tri) machine.Output {

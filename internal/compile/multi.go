@@ -19,8 +19,19 @@ import (
 // All formulas must live in the same model variant; the machine's class is
 // the weakest class admitting all their fragments.
 func MachineFromFormulas(formulas map[machine.Output]logic.Formula, delta int) (machine.Machine, kripke.Variant, error) {
+	c, decide, err := compileTuple(formulas, delta)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.machine(fmt.Sprintf("compiled-tuple[%d formulas]", len(formulas)), decide), c.variant, nil
+}
+
+// compileTuple compiles the disjunction of the formulas and returns it
+// with decide, which halts a node once every formula is decided, on the
+// first label, in label order, whose formula holds.
+func compileTuple(formulas map[machine.Output]logic.Formula, delta int) (*compiled, func(vals []Tri) fmState, error) {
 	if len(formulas) == 0 {
-		return nil, 0, fmt.Errorf("compile: no formulas")
+		return nil, nil, fmt.Errorf("compile: no formulas")
 	}
 	labels := make([]machine.Output, 0, len(formulas))
 	for l := range formulas {
@@ -39,14 +50,12 @@ func MachineFromFormulas(formulas map[machine.Output]logic.Formula, delta int) (
 	}
 	c, err := newCompiled(union, delta)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	roots := make([]int, len(labels))
 	for i, l := range labels {
 		roots[i] = c.index[formulas[l].String()]
 	}
-	// decide halts once every root is decided, on the first label whose
-	// formula holds.
 	decide := func(vals []Tri) fmState {
 		s := fmState{Vals: vals}
 		for _, r := range roots {
@@ -63,23 +72,5 @@ func MachineFromFormulas(formulas map[machine.Output]logic.Formula, delta int) (
 		}
 		return s
 	}
-	return &machine.Func{
-		MachineName:  fmt.Sprintf("compiled-tuple[%d formulas]", len(labels)),
-		MachineClass: c.class(),
-		MaxDeg:       delta,
-		InitFunc: func(deg int) machine.State {
-			return decide(c.initVals(deg))
-		},
-		HaltedFunc: func(s machine.State) (machine.Output, bool) {
-			x := s.(fmState)
-			return x.Out, x.Done
-		},
-		SendFunc: func(s machine.State, port int) machine.Message {
-			return c.send(s.(fmState).Vals, port)
-		},
-		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
-			return decide(c.step(s.(fmState).Vals, inbox))
-		},
-		ValidFunc: c.validMessage,
-	}, c.variant, nil
+	return c, decide, nil
 }

@@ -32,9 +32,12 @@ type CSR struct {
 	propBits map[string][]uint64
 }
 
-// CSR returns the compiled form, building it on first use. The cache is
-// invalidated by AddEdge/SetProp; like the rest of Model, mutation is not
-// safe concurrently with readers.
+// CSR returns the compiled form, building it on first use: it copies each
+// successor row into one int32 array per relation, counting-sorts the
+// predecessors, copies each valuation bitset and numbers the valuation
+// classes by walking the set bits. The cache is invalidated by
+// AddEdge/SetProp, and the compiled form shares no array with the model;
+// like the rest of Model, mutation is not safe concurrently with readers.
 func (m *Model) CSR() *CSR {
 	if m.csr == nil {
 		m.csr = compileCSR(m)
@@ -52,6 +55,7 @@ func compileCSR(m *Model) *CSR {
 		propBits: make(map[string][]uint64),
 	}
 	c.rels = make([]csrRel, len(c.indices))
+	cursor := make([]int32, n)
 	for ri, x := range c.indices {
 		c.relIdx[x] = ri
 		succ := m.rels[x]
@@ -83,7 +87,6 @@ func compileCSR(m *Model) *CSR {
 		for v := 0; v < n; v++ {
 			r.poff[v+1] += r.poff[v]
 		}
-		cursor := make([]int32, n)
 		copy(cursor, r.poff[:n])
 		for u := 0; u < n; u++ {
 			for _, v := range succ[u] {
@@ -97,20 +100,17 @@ func compileCSR(m *Model) *CSR {
 	// Valuation classes: dense ids by first occurrence over states
 	// 0..n-1, the same assignment order PropSig-keyed code produced.
 	// The key of state v is its packed proposition membership, the kw
-	// bytes keys[v*kw:(v+1)*kw], filled in the same single pass over each
-	// proposition's truth values that builds its bitset.
+	// bytes keys[v*kw:(v+1)*kw], filled by walking the set bits of each
+	// proposition's copied truth set.
 	props := m.Props()
 	kw := (len(props) + 7) / 8
 	keys := make([]byte, n*kw)
+	sets := make([]uint64, len(props)*c.words)
 	for qi, q := range props {
-		bits := make([]uint64, c.words)
-		for v, holds := range m.props[q] {
-			if holds {
-				bits[v>>6] |= 1 << (uint(v) & 63)
-				keys[v*kw+qi>>3] |= 1 << (uint(qi) & 7)
-			}
-		}
-		c.propBits[q] = bits
+		set := sets[qi*c.words : (qi+1)*c.words : (qi+1)*c.words]
+		copy(set, m.props[q])
+		forEachState(set, func(v int) { keys[v*kw+qi>>3] |= 1 << (uint(qi) & 7) })
+		c.propBits[q] = set
 	}
 	c.valClass = make([]int32, n)
 	classOf := make(map[string]int32)

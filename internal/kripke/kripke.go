@@ -12,7 +12,10 @@
 package kripke
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -67,13 +70,14 @@ func (v Variant) String() string {
 	}
 }
 
-// Model is a finite multimodal Kripke model. States are 0..N-1. Relations
-// are stored as successor lists per state. Valuations map proposition names
-// to the set of states where they hold.
+// Model is a finite multimodal Kripke model. States are 0..N-1. Each
+// relation holds one successor row per state, nil where a state has no
+// successor. Each proposition's valuation is a bitset over the states,
+// bit v of word v/64 set where it holds.
 type Model struct {
 	n     int
 	rels  map[Index][][]int
-	props map[string][]bool
+	props map[string][]uint64
 
 	// csr caches the compiled CSR form (csr.go); invalidated on mutation.
 	csr *CSR
@@ -84,7 +88,7 @@ func NewModel(n int) *Model {
 	return &Model{
 		n:     n,
 		rels:  make(map[Index][][]int),
-		props: make(map[string][]bool),
+		props: make(map[string][]uint64),
 	}
 }
 
@@ -104,19 +108,22 @@ func (m *Model) AddEdge(alpha Index, u, v int) {
 
 // SetProp marks proposition q true at state v.
 func (m *Model) SetProp(q string, v int) {
+	if uint(v) >= uint(m.n) {
+		panic(fmt.Sprintf("kripke: state %d outside [0,%d)", v, m.n))
+	}
 	m.csr = nil
 	val, ok := m.props[q]
 	if !ok {
-		val = make([]bool, m.n)
+		val = make([]uint64, (m.n+63)/64)
 		m.props[q] = val
 	}
-	val[v] = true
+	val[v>>6] |= 1 << (uint(v) & 63)
 }
 
 // Prop reports whether q holds at v.
 func (m *Model) Prop(q string, v int) bool {
 	val, ok := m.props[q]
-	return ok && val[v]
+	return ok && val[v>>6]>>(uint(v)&63)&1 == 1
 }
 
 // Succ returns the successors of v under relation α (nil if none). The
@@ -135,11 +142,11 @@ func (m *Model) Indices() []Index {
 	for x := range m.rels {
 		out = append(out, x)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
+	slices.SortFunc(out, func(a, b Index) int {
+		if a.I != b.I {
+			return cmp.Compare(a.I, b.I)
 		}
-		return out[a].J < out[b].J
+		return cmp.Compare(a.J, b.J)
 	})
 	return out
 }
@@ -166,44 +173,144 @@ func (m *Model) PropSig(v int) string {
 	return sig
 }
 
+// forEachState calls f on every state of the truth set val, in increasing
+// order.
+func forEachState(val []uint64, f func(v int)) {
+	for w, word := range val {
+		for word != 0 {
+			f(w<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+}
+
 // DegreeProp returns the proposition name q_d of the valuation Φ_Δ.
 func DegreeProp(d int) string { return "q" + strconv.Itoa(d) }
 
 // FromPorts builds the Kripke model Ka,b(G, p) for the requested variant.
 // The valuation sets q_d exactly at the nodes of degree d ≥ 1 (Φ_Δ contains
 // no q_0; degree-0 nodes satisfy no degree proposition, matching the paper).
+//
+// It reads p's routing table (Routes) and allocates per relation and per
+// degree proposition, never per state or per edge. One pass over the
+// out-slots finds each port's relation and row, a second counts the rows,
+// and a third fills them all from one array in slot order, which is the
+// (w, j) order in which one AddEdge per port would append. Each row is cut
+// with its capacity clipped, so an AddEdge on the built model reallocates
+// only the row it grows, and a state without successors keeps a nil row.
 func FromPorts(p *port.Numbering, variant Variant) *Model {
-	g := p.Graph()
-	m := NewModel(g.N())
-	names := make([]string, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d >= 1 {
-			if names[d] == "" {
-				names[d] = DegreeProp(d)
-			}
-			m.SetProp(names[d], v)
-		}
+	var inPorts, outPorts bool // whether labels keep i, and j
+	switch variant {
+	case VariantPP:
+		inPorts, outPorts = true, true
+	case VariantMP:
+		outPorts = true
+	case VariantPM:
+		inPorts = true
+	case VariantMM:
+	default:
+		panic(fmt.Sprintf("kripke: unknown variant %v", variant))
 	}
-	// For every port (w, j), p((w,j)) = (u, i) contributes (u, w) to R(i,j).
-	for w := 0; w < g.N(); w++ {
-		for j := 1; j <= g.Degree(w); j++ {
-			d := p.Dest(w, j)
-			u, i := d.Node, d.Index
-			switch variant {
-			case VariantPP:
-				m.AddEdge(Index{I: i, J: j}, u, w)
-			case VariantMP:
-				m.AddEdge(Index{I: Star, J: j}, u, w)
-			case VariantPM:
-				m.AddEdge(Index{I: i, J: Star}, u, w)
-			case VariantMM:
-				m.AddEdge(Index{I: Star, J: Star}, u, w)
-			default:
-				panic(fmt.Sprintf("kripke: unknown variant %v", variant))
-			}
+	g := p.Graph()
+	n, delta := g.N(), g.MaxDegree()
+	r := p.Routes()
+	off, dest, node := r.Offsets(), r.DestTable(), r.NodeTable()
+	m := &Model{n: n, props: degreeValuation(off, delta)}
+
+	// The port (w, j) at out-slot s, with p((w,j)) = (u, i) at slot
+	// dest[s], contributes (u, w) to R(i,j). Labels get dense ids k in
+	// order of first appearance, looked up by I·jValues+J, and the row of
+	// u in relation k is cell k·n+u. A label's I takes iValues values, its
+	// J jValues: Δ+1 where the variant keeps the port, else 1 (only ∗).
+	// K(+,+)'s (Δ+1)² ids take less room than its rows: a node of degree
+	// Δ alone has Δ in-ports, hence Δ relations of n rows each.
+	iValues, jValues := 1, 1
+	if inPorts {
+		iValues = delta + 1
+	}
+	if outPorts {
+		jValues = delta + 1
+	}
+	idOf := make([]int32, iValues*jValues) // id+1 of each label, 0 if absent
+	var labels []Index
+	cell := make([]int, len(dest))
+	for s, t := range dest {
+		u := node[t]
+		var x Index
+		if inPorts {
+			x.I = int(t-off[u]) + 1
 		}
+		if outPorts {
+			x.J = s - int(off[node[s]]) + 1
+		}
+		key := x.I*jValues + x.J
+		if idOf[key] == 0 {
+			labels = append(labels, x)
+			idOf[key] = int32(len(labels))
+		}
+		cell[s] = int(idOf[key]-1)*n + int(u)
+	}
+	// Count the rows, then turn the counts into start offsets. The fill
+	// advances each cell's offset past its entries, so afterwards pos[c]
+	// is where cell c ends and cell c+1 starts.
+	pos := make([]int32, len(labels)*n+1)
+	for _, c := range cell {
+		pos[c+1]++
+	}
+	for c := 1; c < len(pos); c++ {
+		pos[c] += pos[c-1]
+	}
+	flat := make([]int, len(dest))
+	for s, c := range cell {
+		flat[pos[c]] = int(node[s])
+		pos[c]++
+	}
+	rows := make([][]int, len(labels)*n)
+	lo := int32(0)
+	for c, hi := range pos[:len(rows)] {
+		if hi > lo {
+			rows[c] = flat[lo:hi:hi]
+		}
+		lo = hi
+	}
+	m.rels = make(map[Index][][]int, len(labels))
+	for k, x := range labels {
+		m.rels[x] = rows[k*n : (k+1)*n : (k+1)*n]
 	}
 	return m
+}
+
+// degreeValuation returns Φ_Δ over the nodes of the routing table with
+// offsets off: q_d's truth set for every degree d ≥ 1 that occurs, all
+// cut from one array.
+func degreeValuation(off []int32, delta int) map[string][]uint64 {
+	n := len(off) - 1
+	words := (n + 63) / 64
+	count := make([]int, delta+1)
+	for v := range n {
+		count[off[v+1]-off[v]]++
+	}
+	present := 0
+	for d := 1; d <= delta; d++ {
+		if count[d] > 0 {
+			present++
+		}
+	}
+	props := make(map[string][]uint64, present)
+	sets := make([][]uint64, delta+1)
+	backing := make([]uint64, present*words)
+	for d := 1; d <= delta; d++ {
+		if count[d] > 0 {
+			sets[d], backing = backing[:words:words], backing[words:]
+			props[DegreeProp(d)] = sets[d]
+		}
+	}
+	for v := range n {
+		if d := off[v+1] - off[v]; d >= 1 {
+			sets[d][v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+	return props
 }
 
 // DisjointUnion returns the union of two models over the same signature,
@@ -229,18 +336,10 @@ func DisjointUnion(a, b *Model) *Model {
 		}
 	}
 	for _, q := range a.Props() {
-		for v, t := range a.props[q] {
-			if t {
-				m.SetProp(q, v)
-			}
-		}
+		forEachState(a.props[q], func(v int) { m.SetProp(q, v) })
 	}
 	for _, q := range b.Props() {
-		for v, t := range b.props[q] {
-			if t {
-				m.SetProp(q, v+a.n)
-			}
-		}
+		forEachState(b.props[q], func(v int) { m.SetProp(q, v+a.n) })
 	}
 	return m
 }
